@@ -1,26 +1,63 @@
 //! Matrix multiplication and convolution kernels operating on raw [`Tensor`]s.
 //!
-//! These are the hot loops of the crate. They are written cache-friendly
-//! (ikj loop order for GEMM, im2col lowering for convolution) but make no
-//! attempt at SIMD intrinsics; the A3C-S reproduction works on deliberately
-//! small tensors.
+//! These are the hot loops of the crate. A convolution lowers its whole
+//! batch at once: [`im2col`] turns `[N, Ci, H, W]` into one
+//! `[Ci·k·k, N·Ho·Wo]` matrix, and a single GEMM against the
+//! `[Co, Ci·k·k]` weight yields every image's output, so the GEMM's columns
+//! span the batch instead of one small feature map. The backward pass
+//! lowers again (the lowering is never kept on the tape), gets the input
+//! gradient from one [`matmul_at_b`] plus [`col2im`], and the weight
+//! gradient from one row kernel. The GEMM kernels hold a fixed-width tile
+//! of output columns in registers across the whole inner loop; there are
+//! no SIMD intrinsics and no `unsafe`, the compiler vectorises the tiles.
+//!
+//! # Bit identity: one operation order per output element
+//!
+//! Batching, tiling and threading only move work around; each output
+//! element keeps the float operations of the plain per-image loops:
+//!
+//! - a GEMM element starts from `0.0` and adds `a·b` over the inner index
+//!   `p` in ascending order (the ikj order);
+//! - a convolution weight-gradient element keeps one partial sum per image,
+//!   accumulated like a GEMM element over that image's output pixels, and
+//!   adds the partials in image order starting from `0.0` — the per-image
+//!   `matmul_a_bt` results reduced in image order;
+//! - a [`col2im`] element adds its contributions in (kernel row, kernel
+//!   column, output pixel) order, as the per-image scatter does.
+//!
+//! So a batched convolution is bit-identical to lowering and multiplying
+//! each image on its own (`tests/properties.rs` checks this), and no kernel
+//! skips `a == 0.0` entries: `0 × NaN = NaN` and `0 × ∞ = NaN` must
+//! propagate like IEEE-754 says they do.
 //!
 //! # Determinism under parallelism
 //!
-//! Above [`PAR_MIN_MACS`] multiply–accumulates, the GEMM kernels fan output
-//! rows across the [`threadpool::current`] pool. Each output row is computed
-//! entirely by one lane with the exact per-element accumulation order of the
-//! sequential loop, and rows are disjoint slices of the output buffer, so the
-//! result is bit-identical for every thread count (`A3CS_THREADS=1` included).
-//! No kernel skips `a == 0.0` entries: `0 × NaN = NaN` and `0 × ∞ = NaN` must
-//! propagate like IEEE-754 says they do.
+//! Every kernel fans out by rows of its output through
+//! [`threadpool::ThreadPool::parallel_fill_rows`] once the work reaches
+//! [`PAR_MIN_MACS`]: GEMM rows, lowered-matrix rows, the NCHW ↔
+//! `[C, N·H·W]` gather and scatter, and per-(image, channel) planes of
+//! [`col2im`]. Each row is computed by one lane from the inputs alone and
+//! overwrites a disjoint slice, so results are bit-identical for every
+//! thread count (`A3CS_THREADS=1` included), and a row whose lane panicked
+//! under isolation can be re-run.
 
 use crate::tensor::Tensor;
+use std::ops::Range;
 
-/// Minimum multiply–accumulate count before a GEMM fans rows out across the
-/// thread pool. Below this, fork-join overhead beats the win on the small
-/// tensors this workspace uses.
-pub const PAR_MIN_MACS: usize = 16 * 1024;
+/// Minimum multiply–accumulate count (or element moves, for data-layout
+/// kernels) before a kernel fans rows out across the thread pool. A
+/// fork-join round trip costs tens of microseconds on a 2-vCPU host, about
+/// what a tiled GEMM spends on this many MACs; below it the fork loses.
+pub const PAR_MIN_MACS: usize = 256 * 1024;
+
+/// Output columns a GEMM row keeps in registers across its inner loop:
+/// four 4-lane vectors on the baseline x86-64 target.
+const TILE: usize = 16;
+
+/// Work of moving one element in a data-layout kernel (lowering, scatter,
+/// gather), in multiply–accumulates of a tiled GEMM, for the
+/// [`PAR_MIN_MACS`] fan-out threshold.
+const MOVE_COST: usize = 4;
 
 /// Wrap a buffer that the caller sized as exactly `m * n` elements.
 fn tensor2(data: Vec<f32>, m: usize, n: usize) -> Tensor {
@@ -33,8 +70,37 @@ fn tensor2(data: Vec<f32>, m: usize, n: usize) -> Tensor {
 }
 
 /// Run `fill(row, row_slice)` for every row of `out`, fanning rows across
-/// the pool when the kernel is worth `macs` multiply–accumulates.
-fn fill_rows(out: &mut [f32], rows: usize, row_len: usize, macs: usize, fill: impl Fn(usize, &mut [f32]) + Sync) {
+/// the pool when the kernel is worth `work` multiply–accumulates. `fill`
+/// must overwrite its row from the inputs alone, so that any partition of
+/// rows across lanes (or a re-run of one) gives the same bits.
+pub(crate) fn fan_rows(
+    out: &mut [f32],
+    rows: usize,
+    row_len: usize,
+    work: usize,
+    fill: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if rows == 0 || row_len == 0 {
+        return;
+    }
+    if rows >= 2 && work >= PAR_MIN_MACS {
+        threadpool::current().parallel_fill_rows(out, rows, row_len, fill);
+    } else {
+        for (i, orow) in out.chunks_mut(row_len).enumerate() {
+            fill(i, orow);
+        }
+    }
+}
+
+/// [`fan_rows`] for one GEMM of `macs` multiply–accumulates, counted in the
+/// `gemm.*` metrics.
+fn fill_rows(
+    out: &mut [f32],
+    rows: usize,
+    row_len: usize,
+    macs: usize,
+    fill: impl Fn(usize, &mut [f32]) + Sync,
+) {
     if rows == 0 || row_len == 0 {
         return;
     }
@@ -44,13 +110,67 @@ fn fill_rows(out: &mut [f32], rows: usize, row_len: usize, macs: usize, fill: im
         telemetry::GEMM_MACS.add(macs as u64);
         telemetry::GEMM_MACS_HIST.record(macs as u64);
     }
-    if rows >= 2 && macs >= PAR_MIN_MACS {
-        threadpool::current().parallel_fill_rows(out, rows, row_len, fill);
-    } else {
-        for (i, orow) in out.chunks_mut(row_len).enumerate() {
-            fill(i, orow);
+    fan_rows(out, rows, row_len, macs, fill);
+}
+
+/// One output row of a GEMM-shaped kernel over a row-major `b` with
+/// `n = orow.len()` columns:
+/// `orow[j] = Σ_block Σ_{p ∈ block} mul(a(p), b[p·n + j])`, the `k` inner
+/// indices split into consecutive blocks of `block`. Each block's partial
+/// sum starts from `0.0` and runs over `p` in ascending order; the partials
+/// are added in block order, starting from `0.0`. With `block >= k` this is
+/// the plain GEMM element: the partial is never `-0.0` (it starts at
+/// `+0.0`), so `0.0 + partial` returns it unchanged.
+///
+/// Columns go [`TILE`] at a time, then 8, 4 and 1 for the remainder, each
+/// width a constant so its sums stay in registers.
+#[inline(always)]
+fn gemm_row(
+    orow: &mut [f32],
+    k: usize,
+    block: usize,
+    a: impl Fn(usize) -> f32,
+    b: &[f32],
+    mul: impl Fn(f32, f32) -> f32,
+) {
+    let j = tiles::<TILE>(orow, 0, k, block, &a, b, &mul);
+    let j = tiles::<8>(orow, j, k, block, &a, b, &mul);
+    let j = tiles::<4>(orow, j, k, block, &a, b, &mul);
+    tiles::<1>(orow, j, k, block, &a, b, &mul);
+}
+
+/// Fill `orow[j0..]` by whole `W`-column tiles of [`gemm_row`]; returns
+/// the first column left over.
+#[inline(always)]
+fn tiles<const W: usize>(
+    orow: &mut [f32],
+    j0: usize,
+    k: usize,
+    block: usize,
+    a: &impl Fn(usize) -> f32,
+    b: &[f32],
+    mul: &impl Fn(f32, f32) -> f32,
+) -> usize {
+    let n = orow.len();
+    let mut j = j0;
+    for otile in orow[j0..].chunks_exact_mut(W) {
+        let mut total = [0.0f32; W];
+        for start in (0..k).step_by(block.max(1)) {
+            let mut part = [0.0f32; W];
+            for p in start..(start + block).min(k) {
+                let av = a(p);
+                for (s, &bv) in part.iter_mut().zip(&b[p * n + j..p * n + j + W]) {
+                    *s += mul(av, bv);
+                }
+            }
+            for (t, s) in total.iter_mut().zip(part) {
+                *t += s;
+            }
         }
+        otile.copy_from_slice(&total);
+        j += W;
     }
+    j
 }
 
 /// `A[m,k] @ B[k,n] -> [m,n]`.
@@ -68,12 +188,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let bd = b.data();
     fill_rows(&mut out, m, n, m * k * n, |i, orow| {
         let arow = &ad[i * k..(i + 1) * k];
-        for (p, &av) in arow.iter().enumerate() {
-            let brow = &bd[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
-            }
-        }
+        gemm_row(orow, k, k, |p| arow[p], bd, |av, bv| av * bv);
     });
     tensor2(out, m, n)
 }
@@ -91,16 +206,8 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     let ad = a.data();
     let bd = b.data();
-    // Row-major over the output: lane-disjoint rows, and each output element
-    // still accumulates over `p` in ascending order.
     fill_rows(&mut out, m, n, m * k * n, |i, orow| {
-        for p in 0..k {
-            let av = ad[p * m + i];
-            let brow = &bd[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
-            }
-        }
+        gemm_row(orow, k, k, |p| ad[p * m + i], bd, |av, bv| av * bv);
     });
     tensor2(out, m, n)
 }
@@ -136,6 +243,35 @@ fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
     let s = t.shape();
     assert_eq!(s.len(), 2, "{what} must be rank 2, got {s:?}");
     (s[0], s[1])
+}
+
+/// Copy `src`, laid out `[outer, a, b, inner]`, to `[outer, b, a, inner]`:
+/// the NCHW ↔ `[C, N·H·W]` gather and scatter around a batched convolution
+/// GEMM, and the transposes of its weight gradient and of the depthwise
+/// images-last layout.
+pub(crate) fn swap_axes(src: &[f32], outer: usize, a: usize, b: usize, inner: usize) -> Vec<f32> {
+    assert_eq!(src.len(), outer * a * b * inner, "swap_axes size mismatch");
+    let mut out = vec![0.0f32; src.len()];
+    fan_rows(
+        &mut out,
+        outer * b,
+        a * inner,
+        src.len() * MOVE_COST,
+        |r, orow| {
+            let (o, bi) = (r / b, r % b);
+            let from = |ai: usize| ((o * a + ai) * b + bi) * inner;
+            if inner == 1 {
+                for (ai, d) in orow.iter_mut().enumerate() {
+                    *d = src[from(ai)];
+                }
+            } else {
+                for (ai, dst) in orow.chunks_exact_mut(inner).enumerate() {
+                    dst.copy_from_slice(&src[from(ai)..from(ai) + inner]);
+                }
+            }
+        },
+    );
+    out
 }
 
 /// Static geometry of a 2-D convolution (shared by forward and backward).
@@ -184,7 +320,7 @@ impl Conv2dGeometry {
         self.in_channels * self.kernel * self.kernel
     }
 
-    /// Number of columns of the lowered (im2col) matrix: `Ho * Wo`.
+    /// Number of lowered (im2col) columns per image: `Ho * Wo`.
     #[must_use]
     pub fn col_cols(&self) -> usize {
         self.out_h() * self.out_w()
@@ -194,6 +330,36 @@ impl Conv2dGeometry {
     #[must_use]
     pub fn macs_per_image(&self) -> u64 {
         self.out_channels as u64 * self.col_rows() as u64 * self.col_cols() as u64
+    }
+
+    /// Per kernel row and per kernel column, the output positions whose tap
+    /// reads inside the input (see [`Taps`]), computed once per call so no
+    /// inner loop tests padding bounds.
+    pub(crate) fn taps(&self) -> (Vec<Taps>, Vec<Taps>) {
+        let (s, pad) = (self.stride, self.padding);
+        let (oh, ow) = (self.out_h(), self.out_w());
+        let rows = (0..self.kernel)
+            .map(|t| Taps::new(oh, self.in_h, t, s, pad))
+            .collect();
+        let cols = (0..self.kernel)
+            .map(|t| Taps::new(ow, self.in_w, t, s, pad))
+            .collect();
+        (rows, cols)
+    }
+
+    /// For every lowered column `(img, oy, ox)` of `images` images, the
+    /// offset of its top-left tap in a zero-padded `(H+2p) x (W+2p)` plane,
+    /// plus `img * image_stride`.
+    fn tap_offsets(&self, images: usize, image_stride: usize) -> Vec<usize> {
+        let (oh, ow, s) = (self.out_h(), self.out_w(), self.stride);
+        let wp = self.in_w + 2 * self.padding;
+        let mut offsets = Vec::with_capacity(images * oh * ow);
+        for img in 0..images {
+            for oy in 0..oh {
+                offsets.extend((0..ow).map(|ox| img * image_stride + oy * s * wp + ox * s));
+            }
+        }
+        offsets
     }
 }
 
@@ -206,85 +372,175 @@ fn out_dim(input: usize, kernel: usize, stride: usize, padding: usize) -> usize 
     (padded - kernel) / stride + 1
 }
 
-/// Lower one image `[Ci, H, W]` (as a flat slice) to the im2col matrix
-/// `[Ci*k*k, Ho*Wo]` for `geom`.
-///
-/// # Panics
-///
-/// Panics if `image` does not hold exactly `Ci*H*W` elements.
-#[must_use]
-pub fn im2col(image: &[f32], geom: &Conv2dGeometry) -> Tensor {
-    let (ci, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-    assert_eq!(image.len(), ci * h * w, "im2col image size mismatch");
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let k = geom.kernel;
-    let cols = oh * ow;
-    let mut out = vec![0.0f32; geom.col_rows() * cols];
-    for c in 0..ci {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
-                let base = row * cols;
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        out[base + oy * ow + ox] = image[(c * h + iy) * w + ix as usize];
-                    }
-                }
-            }
-        }
-    }
-    tensor2(out, geom.col_rows(), cols)
+/// The output positions `out` whose kernel tap `t` reads inside an input
+/// of length `len` (`0 <= o·stride + t - padding < len`), and the input
+/// index `first` that `out.start` reads (`0` when `out` is empty). Output
+/// `out.start + i` reads input `first + i·stride`.
+#[derive(Debug, Clone)]
+pub(crate) struct Taps {
+    pub(crate) out: Range<usize>,
+    pub(crate) first: usize,
 }
 
-/// Inverse of [`im2col`]: scatter-add a `[Ci*k*k, Ho*Wo]` matrix back into
-/// an image buffer `[Ci, H, W]` (used by the convolution backward pass).
+impl Taps {
+    fn new(out_len: usize, len: usize, t: usize, stride: usize, padding: usize) -> Taps {
+        let lo = padding.saturating_sub(t).div_ceil(stride);
+        let hi = (len + padding)
+            .checked_sub(t + 1)
+            .map_or(0, |last| (last / stride + 1).min(out_len));
+        if lo >= hi {
+            return Taps {
+                out: 0..0,
+                first: 0,
+            };
+        }
+        Taps {
+            out: lo..hi,
+            first: lo * stride + t - padding,
+        }
+    }
+}
+
+/// Lower a batch of images `[N, Ci, H, W]` (flat; `N` is the number of
+/// whole images in `images`) to the im2col matrix `[Ci*k*k, N*Ho*Wo]` for
+/// `geom`: row `(c*k + ky)*k + kx`, column `img*Ho*Wo + oy*Wo + ox`. Taps
+/// that fall in the padding read `0`.
 ///
 /// # Panics
 ///
-/// Panics if `col` or `image` have sizes inconsistent with `geom`.
-pub fn col2im(col: &Tensor, geom: &Conv2dGeometry, image: &mut [f32]) {
-    let (ci, h, w) = (geom.in_channels, geom.in_h, geom.in_w);
-    assert_eq!(image.len(), ci * h * w, "col2im image size mismatch");
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    assert_eq!(
-        col.shape(),
-        &[geom.col_rows(), oh * ow],
-        "col2im column matrix shape mismatch"
+/// Panics if `images` does not hold a whole number of `Ci*H*W` images.
+#[must_use]
+pub fn im2col(images: &[f32], geom: &Conv2dGeometry) -> Tensor {
+    let (ci, h, w, k) = (geom.in_channels, geom.in_h, geom.in_w, geom.kernel);
+    assert!(
+        ci * h * w > 0 && images.len().is_multiple_of(ci * h * w),
+        "im2col: {} elements are not whole [{ci}, {h}, {w}] images",
+        images.len()
     );
-    let k = geom.kernel;
-    let cols = oh * ow;
+    let n = images.len() / (ci * h * w);
+    let pad = geom.padding;
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    // Zero-padded copy, channel-major `[Ci, N, H+2p, W+2p]`, so that every
+    // lowered row is one gather from one channel's block with no bounds.
+    let mut padded = vec![0.0f32; ci * n * hp * wp];
+    for (plane, src) in images.chunks_exact(h * w).enumerate() {
+        let (img, c) = (plane / ci, plane % ci);
+        let dst = &mut padded[(c * n + img) * hp * wp..][..hp * wp];
+        for (drow, srow) in dst[pad * wp..]
+            .chunks_exact_mut(wp)
+            .zip(src.chunks_exact(w))
+        {
+            drow[pad..pad + w].copy_from_slice(srow);
+        }
+    }
+    let offsets = geom.tap_offsets(n, hp * wp);
+    let (rows, cols) = (geom.col_rows(), offsets.len());
+    let mut out = vec![0.0f32; rows * cols];
+    fan_rows(
+        &mut out,
+        rows,
+        cols,
+        rows * cols * MOVE_COST,
+        |row, orow| {
+            let (c, ky, kx) = (row / (k * k), row / k % k, row % k);
+            let block = &padded[c * n * hp * wp + ky * wp + kx..];
+            for (o, &at) in orow.iter_mut().zip(&offsets) {
+                *o = block[at];
+            }
+        },
+    );
+    tensor2(out, rows, cols)
+}
+
+/// Inverse of [`im2col`]: scatter-add a `[Ci*k*k, N*Ho*Wo]` matrix back into
+/// a fresh image batch `[N, Ci, H, W]` (used by the convolution backward
+/// pass). Each input element sums its contributions in (kernel row, kernel
+/// column, output pixel) order, starting from `0.0`.
+///
+/// # Panics
+///
+/// Panics if `col` does not have `Ci*k*k` rows and a whole number of
+/// `Ho*Wo` column blocks.
+#[must_use]
+pub fn col2im(col: &Tensor, geom: &Conv2dGeometry) -> Tensor {
+    let (rows, cols) = dims2(col, "col2im column matrix");
+    let per_image = geom.col_cols();
+    assert!(
+        rows == geom.col_rows() && cols.is_multiple_of(per_image),
+        "col2im column matrix shape mismatch: {:?}",
+        col.shape()
+    );
+    let n = cols / per_image;
+    let (ci, h, w, k) = (geom.in_channels, geom.in_h, geom.in_w, geom.kernel);
+    let pad = geom.padding;
+    let (hp, wp) = (h + 2 * pad, w + 2 * pad);
+    let offsets = geom.tap_offsets(1, 0);
     let cd = col.data();
-    for c in 0..ci {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
-                let base = row * cols;
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        image[(c * h + iy) * w + ix as usize] += cd[base + oy * ow + ox];
+    // Accumulate into zero-padded planes `[N, Ci, H+2p, W+2p]`; sums that
+    // land in the padding are dropped by the crop below.
+    let mut padded = vec![0.0f32; n * ci * hp * wp];
+    fan_rows(
+        &mut padded,
+        n * ci,
+        hp * wp,
+        rows * cols * MOVE_COST,
+        |r, acc| {
+            let (img, c) = (r / ci, r % ci);
+            acc.fill(0.0);
+            for ky in 0..k {
+                for kx in 0..k {
+                    let src = &cd[((c * k + ky) * k + kx) * cols + img * per_image..][..per_image];
+                    let dst = &mut acc[ky * wp + kx..];
+                    for (&v, &at) in src.iter().zip(&offsets) {
+                        dst[at] += v;
                     }
                 }
             }
+        },
+    );
+    let mut out = vec![0.0f32; n * ci * h * w];
+    for (plane, acc) in out
+        .chunks_exact_mut(h * w)
+        .zip(padded.chunks_exact(hp * wp))
+    {
+        for (drow, arow) in plane
+            .chunks_exact_mut(w)
+            .zip(acc[pad * wp..].chunks_exact(wp))
+        {
+            drow.copy_from_slice(&arow[pad..pad + w]);
         }
     }
+    match Tensor::from_vec(out, &[n, ci, h, w]) {
+        Ok(t) => t,
+        Err(e) => unreachable!("col2im buffer sized by construction: {e:?}"),
+    }
+}
+
+/// Weight gradient `[Co, Ci*k*k]` of a batched convolution from its
+/// lowered input `col` ([`im2col`] of the batch) and output gradient `g`
+/// (`[N, Co, Ho, Wo]`, flat). One row kernel over the rows of `col`: row
+/// `r` holds, for every output channel, one partial per image accumulated
+/// over that image's output pixels in order and the partials added in
+/// image order — the per-image `matmul_a_bt(g_img, col_img)` summed over
+/// images. Counts as one GEMM.
+pub(crate) fn conv_weight_grad(col: &Tensor, g: &[f32], geom: &Conv2dGeometry) -> Vec<f32> {
+    let (rows, cols) = dims2(col, "conv_weight_grad lowering");
+    let (co, per_image) = (geom.out_channels, geom.col_cols());
+    assert_eq!(
+        g.len(),
+        co * cols,
+        "conv_weight_grad gradient size mismatch"
+    );
+    let n = cols / per_image;
+    // `[N, Co, P]` -> `[N·P, Co]`: the rhs rows, contiguous over channels.
+    let gt = swap_axes(g, n, co, per_image, 1);
+    let cd = col.data();
+    let mut dwt = vec![0.0f32; rows * co];
+    fill_rows(&mut dwt, rows, co, rows * cols * co, |r, orow| {
+        let crow = &cd[r * cols..(r + 1) * cols];
+        gemm_row(orow, cols, per_image, |q| crow[q], &gt, |cv, gv| gv * cv);
+    });
+    swap_axes(&dwt, 1, rows, co, 1)
 }
 
 #[cfg(test)]
@@ -337,11 +593,11 @@ mod tests {
     #[test]
     fn gemm_kernels_bit_identical_across_thread_counts() {
         // Big enough to clear PAR_MIN_MACS so the 4-thread run really forks.
-        let a = Tensor::randn(&[40, 33], 1.0, 21);
-        let b = Tensor::randn(&[33, 37], 1.0, 22);
-        let at = Tensor::randn(&[33, 40], 1.0, 23);
-        let bt = Tensor::randn(&[37, 33], 1.0, 24);
-        assert!(40 * 33 * 37 >= PAR_MIN_MACS);
+        let a = Tensor::randn(&[80, 66], 1.0, 21);
+        let b = Tensor::randn(&[66, 74], 1.0, 22);
+        let at = Tensor::randn(&[66, 80], 1.0, 23);
+        let bt = Tensor::randn(&[74, 66], 1.0, 24);
+        const { assert!(80 * 66 * 74 >= PAR_MIN_MACS) };
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let seq = threadpool::with_threads(1, || {
             (matmul(&a, &b), matmul_at_b(&at, &b), matmul_a_bt(&a, &bt))
@@ -479,9 +735,7 @@ mod tests {
         };
         let img: Vec<f32> = (0..18).map(|x| x as f32).collect();
         let col = im2col(&img, &g);
-        let mut back = vec![0.0f32; 18];
-        col2im(&col, &g, &mut back);
-        assert_eq!(back, img);
+        assert_eq!(col2im(&col, &g).data(), img.as_slice());
     }
 
     #[test]
@@ -497,9 +751,9 @@ mod tests {
             in_w: 3,
         };
         let ones = Tensor::ones(&[g.col_rows(), g.col_cols()]);
-        let mut img = vec![0.0f32; 6];
-        col2im(&ones, &g, &mut img);
+        let img = col2im(&ones, &g);
+        assert_eq!(img.shape(), &[1, 1, 2, 3]);
         // Visit counts: corners 1, edge-centres 2 (2x3 input, 2x2 kernel -> 1x2 outputs).
-        assert_eq!(img, vec![1.0, 2.0, 1.0, 1.0, 2.0, 1.0]);
+        assert_eq!(img.data(), &[1.0, 2.0, 1.0, 1.0, 2.0, 1.0]);
     }
 }

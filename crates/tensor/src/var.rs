@@ -4,7 +4,10 @@
 //! Every method that combines two `Var`s panics if they live on different
 //! tapes; this is always a programming error in the caller.
 
-use crate::linalg::{col2im, im2col, matmul, matmul_a_bt, matmul_at_b, Conv2dGeometry, PAR_MIN_MACS};
+use crate::linalg::{
+    col2im, conv_weight_grad, fan_rows, im2col, matmul, matmul_a_bt, matmul_at_b, swap_axes,
+    Conv2dGeometry,
+};
 use crate::tape::{BackwardFn, Tape};
 use crate::tensor::Tensor;
 use std::rc::Rc;
@@ -16,54 +19,6 @@ pub(crate) fn sized(data: Vec<f32>, shape: &[usize], what: &str) -> Tensor {
         // Every call site allocates the buffer from the same dimensions it
         // passes as `shape`, so the length always matches.
         Err(e) => unreachable!("{what}: buffer sized by construction for {shape:?}: {e:?}"),
-    }
-}
-
-/// Run `f(image_index, image_chunk)` over the `n` disjoint `row_len`-sized
-/// blocks of `out`, fanning images across the pool when the op is worth
-/// `macs_per_image * n` multiply–accumulates. Per-image work is identical in
-/// either mode, so output is bit-identical for every thread count.
-fn conv_fan_out(
-    out: &mut [f32],
-    n: usize,
-    row_len: usize,
-    macs_per_image: u64,
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    if n == 0 || row_len == 0 {
-        return;
-    }
-    telemetry::CONV_MACS.add(macs_per_image.saturating_mul(n as u64));
-    if n >= 2 && macs_per_image.saturating_mul(n as u64) >= PAR_MIN_MACS as u64 {
-        threadpool::current().parallel_fill_rows(out, n, row_len, f);
-    } else {
-        for (ni, chunk) in out.chunks_mut(row_len).enumerate() {
-            f(ni, chunk);
-        }
-    }
-}
-
-/// As [`conv_fan_out`], but over per-image slot pairs (typically an input
-/// gradient slice plus a staging slice for that image's weight gradient).
-fn conv_fan_out_slots(
-    slots: &mut [(&mut [f32], &mut [f32])],
-    macs_per_image: u64,
-    f: impl Fn(usize, &mut [f32], &mut [f32]) + Sync,
-) {
-    let n = slots.len();
-    if n == 0 {
-        return;
-    }
-    telemetry::CONV_MACS.add(macs_per_image.saturating_mul(n as u64));
-    let run = |start: usize, chunk: &mut [(&mut [f32], &mut [f32])]| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            f(start + i, &mut *slot.0, &mut *slot.1);
-        }
-    };
-    if n >= 2 && macs_per_image.saturating_mul(n as u64) >= PAR_MIN_MACS as u64 {
-        threadpool::current().parallel_chunks_mut(slots, run);
-    } else {
-        run(0, slots);
     }
 }
 
@@ -371,8 +326,8 @@ impl Var {
         let (n, m) = (s[0], s[1]);
         let x = self.value();
         let mut out = vec![0.0f32; n];
-        for r in 0..n {
-            out[r] = x.data()[r * m..(r + 1) * m].iter().sum();
+        for (r, o) in out.iter_mut().enumerate() {
+            *o = x.data()[r * m..(r + 1) * m].iter().sum();
         }
         self.unary(
             sized(out, &[n], "sum_rows shape"),
@@ -421,8 +376,8 @@ impl Var {
             Box::new(move |g| {
                 let mut db = vec![0.0f32; f];
                 for r in 0..n {
-                    for c in 0..f {
-                        db[c] += g.data()[r * f + c];
+                    for (d, &gv) in db.iter_mut().zip(&g.data()[r * f..(r + 1) * f]) {
+                        *d += gv;
                     }
                 }
                 vec![
@@ -466,9 +421,9 @@ impl Var {
             Box::new(move |g| {
                 let mut db = vec![0.0f32; c];
                 for ni in 0..n {
-                    for ci in 0..c {
+                    for (ci, d) in db.iter_mut().enumerate() {
                         let base = (ni * c + ci) * hw;
-                        db[ci] += g.data()[base..base + hw].iter().sum::<f32>();
+                        *d += g.data()[base..base + hw].iter().sum::<f32>();
                     }
                 }
                 vec![
@@ -661,6 +616,10 @@ impl Var {
     /// `[N, Co, Ho, Wo]` per `geom`. Bias, if any, is added separately via
     /// [`Var::add_bias_channel`].
     ///
+    /// The whole batch is lowered at once and multiplied by the weight in
+    /// one GEMM (see `linalg` for the per-element order that keeps this
+    /// bit-identical to a per-image loop).
+    ///
     /// # Panics
     ///
     /// Panics if the shapes disagree with `geom` or on tape mismatch.
@@ -679,71 +638,42 @@ impl Var {
         );
         assert_eq!(
             w.shape(),
-            &[geom.out_channels, geom.in_channels, geom.kernel, geom.kernel],
+            &[
+                geom.out_channels,
+                geom.in_channels,
+                geom.kernel,
+                geom.kernel
+            ],
             "conv2d weight does not match geometry"
         );
         let n = xs[0];
-        let (co, oh, ow) = (geom.out_channels, geom.out_h(), geom.out_w());
-        let ckk = geom.col_rows();
-        let image_len = geom.in_channels * geom.in_h * geom.in_w;
-        let out_len = co * oh * ow;
-        let w2d = w.reshape(&[co, ckk]);
-        let mut out = vec![0.0f32; n * out_len];
-        {
-            // Per-image fan-out: each image's lowered GEMM is independent and
-            // writes a disjoint output slice, so any partition of images
-            // across lanes is bit-identical to the sequential loop.
-            let xd = x.data();
-            conv_fan_out(&mut out, n, out_len, geom.macs_per_image(), |ni, chunk| {
-                let img = &xd[ni * image_len..(ni + 1) * image_len];
-                let col = im2col(img, &geom);
-                chunk.copy_from_slice(matmul(&w2d, &col).data());
-            });
-        }
-        let value = sized(out, &[n, co, oh, ow], "conv2d output");
+        let (co, per_image, ckk) = (geom.out_channels, geom.col_cols(), geom.col_rows());
+        let macs = geom.macs_per_image().saturating_mul(n as u64);
+        telemetry::CONV_MACS.add(macs);
+        // [Co, ckk] @ [ckk, N·P] = [Co, N·P], scattered to [N, Co, P].
+        let y = matmul(&w.reshape(&[co, ckk]), &im2col(x.data(), &geom));
+        let out = swap_axes(y.data(), 1, co, n, per_image);
+        let value = sized(out, &[n, co, geom.out_h(), geom.out_w()], "conv2d output");
         self.unary(
             value,
             Box::new(move |g| {
-                let w2d = w.reshape(&[co, ckk]);
-                let xd = x.data();
+                telemetry::CONV_MACS.add(macs.saturating_mul(2));
                 let gd = g.data();
-                let mut dx = vec![0.0f32; n * image_len];
-                // Per-image weight-gradient staging buffer: lanes fill
-                // disjoint `[co, ckk]` blocks, then the caller reduces them
-                // in image order so the dw sum is bit-identical to the
-                // sequential accumulation regardless of thread count.
-                let mut dw_per_image = vec![0.0f32; n * co * ckk];
-                {
-                    let mut slots: Vec<(&mut [f32], &mut [f32])> = dx
-                        .chunks_mut(image_len)
-                        .zip(dw_per_image.chunks_mut(co * ckk))
-                        .collect();
-                    let macs = geom.macs_per_image().saturating_mul(2);
-                    conv_fan_out_slots(&mut slots, macs, |ni, dx_img, dw_img| {
-                        let img = &xd[ni * image_len..(ni + 1) * image_len];
-                        let col = im2col(img, &geom);
-                        let gmat = sized(
-                            gd[ni * out_len..(ni + 1) * out_len].to_vec(),
-                            &[co, oh * ow],
-                            "conv2d grad slice",
-                        );
-                        dw_img.copy_from_slice(matmul_a_bt(&gmat, &col).data());
-                        let dcol = matmul_at_b(&w2d, &gmat);
-                        col2im(&dcol, &geom, dx_img);
-                    });
-                }
-                let mut dw = vec![0.0f32; co * ckk];
-                for image_dw in dw_per_image.chunks(co * ckk) {
-                    for (d, s) in dw.iter_mut().zip(image_dw.iter()) {
-                        *d += s;
-                    }
-                }
+                // The lowering is rebuilt here rather than kept on the tape,
+                // and dropped before the input gradient's column matrix.
+                let dw = conv_weight_grad(&im2col(x.data(), &geom), gd, &geom);
                 let dw = sized(
                     dw,
                     &[co, geom.in_channels, geom.kernel, geom.kernel],
                     "conv2d weight grad",
                 );
-                vec![(a, sized(dx, &xs, "conv2d input grad")), (b, dw)]
+                let gmat = sized(
+                    swap_axes(gd, 1, n, co, per_image),
+                    &[co, n * per_image],
+                    "conv2d grad",
+                );
+                let dx = col2im(&matmul_at_b(&w.reshape(&[co, ckk]), &gmat), &geom);
+                vec![(a, dx), (b, dw)]
             }),
         )
     }
@@ -752,6 +682,13 @@ impl Var {
     ///
     /// `self` is `[N, C, H, W]`; `weight` is `[C, k, k]`. `geom` must have
     /// `in_channels == out_channels == C`.
+    ///
+    /// The kernels run on an images-last copy (`[C, H, W, N]`), so every
+    /// tap is one `N`-wide vector operation, and fan out over channels.
+    /// Padding bounds are computed once per kernel row and column; taps in
+    /// the padding are skipped. Each element keeps the tap order of the
+    /// direct per-image loop, and the weight gradient adds one partial per
+    /// image in image order.
     ///
     /// # Panics
     ///
@@ -780,100 +717,104 @@ impl Var {
         );
         let (n, c, h, wd) = (xs[0], xs[1], xs[2], xs[3]);
         let (oh, ow) = (geom.out_h(), geom.out_w());
-        let k = geom.kernel;
-        let (stride, pad) = (geom.stride, geom.padding);
-        let macs_per_image = (c * k * k * oh * ow) as u64;
-        let mut out = vec![0.0f32; n * c * oh * ow];
+        let (k, s, pad) = (geom.kernel, geom.stride, geom.padding);
+        let macs = (n * c * k * k * oh * ow) as u64;
+        telemetry::CONV_MACS.add(macs);
+        let (plane, out_plane) = (h * wd, oh * ow);
+        let (ys, xt) = geom.taps();
+        // The in-bounds positions of tap `(ky, kx)`, as (output, input)
+        // plane indices in (oy, ox) order.
+        let taps = move |ky: usize, kx: usize| {
+            let t = xt[kx].clone();
+            ys[ky].out.clone().flat_map(move |oy| {
+                let iy = oy * s + ky - pad;
+                t.out
+                    .clone()
+                    .enumerate()
+                    .map(move |(i, ox)| (oy * ow + ox, iy * wd + t.first + i * s))
+            })
+        };
+        let mut out = vec![0.0f32; c * out_plane * n];
         {
-            let xd = x.data();
+            let xl = swap_axes(x.data(), 1, n, c * plane, 1);
             let wv = w.data();
-            conv_fan_out(&mut out, n, c * oh * ow, macs_per_image, |ni, chunk| {
-                for ci in 0..c {
-                    let ibase = (ni * c + ci) * h * wd;
-                    let obase = ci * oh * ow;
-                    let wbase = ci * k * k;
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let mut acc = 0.0f32;
-                            for ky in 0..k {
-                                let iy = (oy * stride + ky) as isize - pad as isize;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..k {
-                                    let ix = (ox * stride + kx) as isize - pad as isize;
-                                    if ix < 0 || ix >= wd as isize {
-                                        continue;
-                                    }
-                                    acc += xd[ibase + iy as usize * wd + ix as usize]
-                                        * wv[wbase + ky * k + kx];
-                                }
+            // Per output element: taps in (ky, kx) order.
+            fan_rows(&mut out, c, out_plane * n, macs as usize, |ci, orow| {
+                let xc = &xl[ci * plane * n..(ci + 1) * plane * n];
+                orow.fill(0.0);
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let wt = wv[(ci * k + ky) * k + kx];
+                        for (o, i) in taps(ky, kx) {
+                            for (acc, &v) in orow[o * n..(o + 1) * n]
+                                .iter_mut()
+                                .zip(&xc[i * n..(i + 1) * n])
+                            {
+                                *acc += v * wt;
                             }
-                            chunk[obase + oy * ow + ox] = acc;
                         }
                     }
                 }
             });
         }
-        let value = sized(out, &[n, c, oh, ow], "depthwise conv output");
+        let value = sized(
+            swap_axes(&out, 1, c * out_plane, n, 1),
+            &[n, c, oh, ow],
+            "depthwise conv output",
+        );
         self.unary(
             value,
             Box::new(move |g| {
-                let xd = x.data();
+                telemetry::CONV_MACS.add(macs.saturating_mul(2));
                 let wv = w.data();
-                let gd = g.data();
-                let mut dx = vec![0.0f32; n * c * h * wd];
-                // Per-image dw staging, reduced in image order below, so the
-                // shared weight gradient is bit-identical for any thread
-                // count (see conv2d's backward for the same pattern).
-                let mut dw_per_image = vec![0.0f32; n * c * k * k];
-                {
-                    let mut slots: Vec<(&mut [f32], &mut [f32])> = dx
-                        .chunks_mut(c * h * wd)
-                        .zip(dw_per_image.chunks_mut(c * k * k))
-                        .collect();
-                    let macs = macs_per_image.saturating_mul(2);
-                    conv_fan_out_slots(&mut slots, macs, |ni, dx_img, dw_img| {
-                        for ci in 0..c {
-                            let ibase = ci * h * wd;
-                            let obase = (ni * c + ci) * oh * ow;
-                            let wbase = ci * k * k;
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    let gv = gd[obase + oy * ow + ox];
-                                    if gv == 0.0 {
-                                        continue;
-                                    }
-                                    for ky in 0..k {
-                                        let iy = (oy * stride + ky) as isize - pad as isize;
-                                        if iy < 0 || iy >= h as isize {
-                                            continue;
-                                        }
-                                        for kx in 0..k {
-                                            let ix =
-                                                (ox * stride + kx) as isize - pad as isize;
-                                            if ix < 0 || ix >= wd as isize {
-                                                continue;
-                                            }
-                                            let ii = ibase + iy as usize * wd + ix as usize;
-                                            dx_img[ii] += gv * wv[wbase + ky * k + kx];
-                                            dw_img[wbase + ky * k + kx] +=
-                                                gv * xd[(ni * c) * h * wd + ii];
-                                        }
-                                    }
+                let gl = swap_axes(g.data(), 1, n, c * out_plane, 1);
+                let mut dx = vec![0.0f32; c * plane * n];
+                // Per input element: contributions in (oy, ox) order, which
+                // descending ky and kx visit in ascending oy and ox.
+                fan_rows(&mut dx, c, plane * n, macs as usize, |ci, drow| {
+                    let gc = &gl[ci * out_plane * n..(ci + 1) * out_plane * n];
+                    drow.fill(0.0);
+                    for ky in (0..k).rev() {
+                        for kx in (0..k).rev() {
+                            let wt = wv[(ci * k + ky) * k + kx];
+                            for (o, i) in taps(ky, kx) {
+                                for (d, &gv) in drow[i * n..(i + 1) * n]
+                                    .iter_mut()
+                                    .zip(&gc[o * n..(o + 1) * n])
+                                {
+                                    *d += gv * wt;
                                 }
                             }
                         }
-                    });
-                }
-                let mut dw = vec![0.0f32; c * k * k];
-                for image_dw in dw_per_image.chunks(c * k * k) {
-                    for (d, s) in dw.iter_mut().zip(image_dw.iter()) {
-                        *d += s;
                     }
-                }
+                });
+                // Per weight element: one partial per image over (oy, ox),
+                // partials added in image order.
+                let xl = swap_axes(x.data(), 1, n, c * plane, 1);
+                let mut dw = vec![0.0f32; c * k * k];
+                fan_rows(&mut dw, c, k * k, macs as usize, |ci, drow| {
+                    let gc = &gl[ci * out_plane * n..(ci + 1) * out_plane * n];
+                    let xc = &xl[ci * plane * n..(ci + 1) * plane * n];
+                    let mut part = vec![0.0f32; n];
+                    for (t, d) in drow.iter_mut().enumerate() {
+                        part.fill(0.0);
+                        for (o, i) in taps(t / k, t % k) {
+                            for ((p, &gv), &xv) in part
+                                .iter_mut()
+                                .zip(&gc[o * n..(o + 1) * n])
+                                .zip(&xc[i * n..(i + 1) * n])
+                            {
+                                *p += gv * xv;
+                            }
+                        }
+                        *d = part.iter().fold(0.0, |acc, &p| acc + p);
+                    }
+                });
                 vec![
-                    (a, sized(dx, &xs, "depthwise dx")),
+                    (
+                        a,
+                        sized(swap_axes(&dx, 1, c * plane, n, 1), &xs, "depthwise dx"),
+                    ),
                     (b, sized(dw, &[c, k, k], "depthwise dw")),
                 ]
             }),
@@ -1063,10 +1004,10 @@ impl Var {
         let mut out = vec![0.0f32; x.len()];
         let mut xhat = vec![0.0f32; x.len()];
         for ni in 0..n {
-            for ci in 0..c {
+            for (ci, &iv) in ivar.iter().enumerate() {
                 let base = (ni * c + ci) * hw;
                 for o in 0..hw {
-                    let xh = (x.data()[base + o] - mean.data()[ci]) * ivar[ci];
+                    let xh = (x.data()[base + o] - mean.data()[ci]) * iv;
                     xhat[base + o] = xh;
                     out[base + o] = gv.data()[ci] * xh + bv.data()[ci];
                 }
@@ -1287,6 +1228,30 @@ mod tests {
             w.grad().unwrap().data(),
             &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
         );
+    }
+
+    #[test]
+    fn depthwise_backward_propagates_nan_through_zero_gradients() {
+        // 0 × NaN and 0 × ∞ must yield NaN per IEEE-754; a zero-gradient
+        // skip in the backward pass used to drop them.
+        let tape = Tape::new();
+        let x = leaf(&tape, vec![f32::NAN, 1.0], &[1, 2, 1, 1]);
+        let w = leaf(&tape, vec![1.0, f32::INFINITY], &[2, 1, 1]);
+        let geom = Conv2dGeometry {
+            in_channels: 2,
+            out_channels: 2,
+            kernel: 1,
+            stride: 1,
+            padding: 0,
+            in_h: 1,
+            in_w: 1,
+        };
+        x.depthwise_conv2d(&w, geom)
+            .backward_with(Tensor::zeros(&[1, 2, 1, 1]));
+        let (dx, dw) = (x.grad().unwrap(), w.grad().unwrap());
+        assert!(dw.data()[0].is_nan(), "0 * NaN input must reach dw");
+        assert!(dx.data()[1].is_nan(), "0 * inf weight must reach dx");
+        assert_eq!((dx.data()[0], dw.data()[1]), (0.0, 0.0));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local verification gate: build, test, static lint ratchet, and a
-# clippy-clean a3cs-check crate. Run from anywhere inside the repo.
+# Full local verification gate: build, test, static lint ratchet, and
+# clippy-clean a3cs-check and a3cs-tensor crates. Run from anywhere inside
+# the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,7 +38,7 @@ cargo run -q -p a3cs-check --bin lint -- --deny-new
 echo "==> threadpool tests under -D warnings"
 RUSTFLAGS="-D warnings" cargo test -q -p threadpool
 
-echo "==> clippy (a3cs-check, -D warnings)"
-cargo clippy -q -p a3cs-check --all-targets --no-deps -- -D warnings
+echo "==> clippy (a3cs-check + a3cs-tensor, -D warnings)"
+cargo clippy -q -p a3cs-check -p a3cs-tensor --all-targets --no-deps -- -D warnings
 
 echo "all checks passed"
