@@ -1,21 +1,22 @@
 //! Checkpoint durability benchmark: full frames vs delta+compressed
 //! frames on the checkpoints a real co-search actually produces.
 //!
-//! Phase 1 runs a tiny co-search in delta mode with a long chain budget
-//! and kills it after 50 post-base checkpoint boundaries, leaving one
-//! base frame plus 50 delta frames on disk. Phase 2 replays that chain
-//! to recover the 51 real parameter payloads, then re-persists the same
-//! sequence through both store formats into fresh directories:
+//! Phase 1 runs a tiny co-search with a long chain budget and kills it
+//! after 50 post-base checkpoint boundaries, leaving one base frame plus
+//! 50 delta frames on disk. Phase 2 replays that chain to recover the 51
+//! real parameter payloads, then re-persists the same sequence through two
+//! chain lengths into fresh stores that retain the default 3 chains:
 //!
-//! * **full** — the legacy format, one sealed full payload per iteration
-//!   (what solo runs write by default);
-//! * **delta** — one compressed base frame plus 50 compressed XOR delta
-//!   frames (the fleet-default incremental format).
+//! * **full** — chains of length 0: one sealed base frame per iteration
+//!   (`max_chain_len = 0`);
+//! * **delta** — one base frame plus 50 XOR delta frames (the default
+//!   incremental format).
 //!
-//! Save and recover legs are wall-clocked, byte totals are measured from
-//! the sealed on-disk sizes, and both recoveries must reproduce the final
-//! payload bit-for-bit. The steady-state byte reduction (mean full frame
-//! over mean delta frame) carries a 5x acceptance floor.
+//! Save and recover legs are wall-clocked (recovery is the one verifying
+//! walk a resume makes), byte totals are the sealed on-disk sizes, and both
+//! recoveries must reproduce the final payload bit-for-bit. The
+//! steady-state byte reduction (mean full frame over mean delta frame)
+//! carries a 5x acceptance floor.
 //!
 //! Emits `BENCH_ckpt.json` in the working directory.
 //!
@@ -24,10 +25,10 @@
 //! ```
 
 use a3cs_bench::report::{or_exit, status, warn};
-use a3cs_core::{CheckpointFormat, CoSearch, CoSearchConfig, FaultPlan};
+use a3cs_core::{CoSearch, CoSearchConfig, FaultConfig, FaultPlan};
 use a3cs_drl::{
     apply_delta_frame, decode_base_frame, encode_base_frame, encode_delta_frame, fnv1a64,
-    unseal_envelope_bytes, CheckpointCodec, CheckpointStore, StdIo,
+    unseal_envelope_bytes, CheckpointStore, StdIo,
 };
 use a3cs_envs::{Breakout, Environment};
 use serde::Serialize;
@@ -84,8 +85,6 @@ fn main() {
     cfg.eval_every = 1_000_000; // skip evals, every iteration is a boundary
     cfg.fault.checkpoint_dir = Some(source.clone());
     cfg.fault.keep = 4;
-    cfg.fault.format = CheckpointFormat::Binary; // the fleet pairing: tail-growth layout keeps XOR sparse
-    cfg.fault.durability.delta = true;
     cfg.fault.durability.max_chain_len = DELTAS + 8;
     cfg.fault.plan = FaultPlan::none().abort_at(DELTAS as u64 + 1);
     status(format!(
@@ -134,28 +133,29 @@ fn main() {
         payloads.len()
     ));
 
-    // Phase 3: full-format leg — one sealed full payload per iteration.
+    // Phase 3: full leg — chains of length 0, one sealed base per iteration.
+    let keep = FaultConfig::default().keep;
     let full_dir = bench_dir("full");
-    let full_store = CheckpointStore::new(full_dir.clone(), DELTAS + 8);
+    let full_store = CheckpointStore::new(full_dir.clone(), keep);
     let mut io = StdIo;
     let mut full_bytes = 0u64;
     let t0 = Instant::now();
     for (iteration, payload) in payloads.iter().enumerate() {
-        or_exit(full_store.write_with(&mut io, iteration as u64, payload));
-        full_bytes += payload.len() as u64 + 36; // sealed = payload + envelope header
+        let frame = encode_base_frame(payload);
+        let (_, sealed) = or_exit(full_store.write_base_frame(&mut io, iteration as u64, &frame));
+        full_bytes += sealed;
     }
     let full_save_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // Phase 4: delta leg — compressed base, then compressed XOR deltas.
     let delta_dir = bench_dir("delta");
-    let delta_store = CheckpointStore::new(delta_dir.clone(), DELTAS + 8);
-    let codec = CheckpointCodec::RleZero;
+    let delta_store = CheckpointStore::new(delta_dir.clone(), keep);
     let t0 = Instant::now();
     let (_, delta_base_bytes) =
-        or_exit(delta_store.write_base_frame(&mut io, 0, &encode_base_frame(&payloads[0], codec)));
+        or_exit(delta_store.write_base_frame(&mut io, 0, &encode_base_frame(&payloads[0])));
     let mut delta_frame_bytes = 0u64;
     for (i, pair) in payloads.windows(2).enumerate() {
-        let frame = encode_delta_frame(&pair[0], &pair[1], chain_id, i as u32 + 1, i as u64, codec);
+        let frame = encode_delta_frame(&pair[0], &pair[1], chain_id, i as u32 + 1, i as u64);
         let (_, sealed) = or_exit(delta_store.write_delta_frame(&mut io, i as u64 + 1, &frame));
         delta_frame_bytes += sealed;
     }
@@ -164,10 +164,10 @@ fn main() {
 
     // Phase 5: recover both legs, bit-compare against the final payload.
     let t0 = Instant::now();
-    let full_recovery = full_store.recover();
+    let full_recovery = full_store.recover_and_scrub(&mut io);
     let full_recover_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t0 = Instant::now();
-    let delta_recovery = delta_store.recover_checkpoint();
+    let delta_recovery = delta_store.recover_and_scrub(&mut io);
     let delta_recover_ms = t0.elapsed().as_secs_f64() * 1e3;
     let tip = &payloads[DELTAS]; // length was validated to DELTAS + 1 above
     let bit_identical = full_recovery.checkpoint.as_ref().map(|(_, p)| p) == Some(tip)

@@ -1,7 +1,7 @@
-//! Checkpoint durability smoke check: run a co-search in delta mode until
-//! the store holds one base frame plus eight chained deltas, kill it, rot
-//! a byte in the middle delta on disk, and resume. The resumed run must
-//! fall back to the verified chain prefix, quarantine the rotten frame
+//! Checkpoint durability smoke check: run a co-search until the store
+//! holds one base frame plus eight chained deltas, kill it, rot a byte
+//! in the middle delta on disk, and resume. The resumed run must fall
+//! back to the verified chain prefix, quarantine the rotten frame
 //! and everything downstream of it (renamed `.bad`, never deleted), and
 //! still finish bit-identically to a run that never faulted. Exits
 //! nonzero on any failure, so `scripts/check.sh` can use it as a gate.
@@ -82,11 +82,10 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
 
     status(format!(
-        "ckpt smoke: delta-mode run, crash after base + {CHAIN_DELTAS} deltas\n"
+        "ckpt smoke: checkpointed run, crash after base + {CHAIN_DELTAS} deltas\n"
     ));
     let mut cfg = tiny_config();
     cfg.fault.checkpoint_dir = Some(dir.clone());
-    cfg.fault.durability.delta = true;
     cfg.fault.plan = FaultPlan::none().abort_at(CHAIN_DELTAS as u64 + 1);
     if or_exit(CoSearch::try_new(cfg.clone(), SEED))
         .run_guarded(&factory, None)

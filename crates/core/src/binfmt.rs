@@ -1,43 +1,45 @@
-//! Length-prefixed binary framing for [`SearchCheckpoint`].
+//! Length-prefixed binary encoding of [`SearchCheckpoint`] — the payload
+//! every checkpoint frame carries.
 //!
-//! JSON is the default checkpoint payload (human-inspectable, stable), but
-//! the bit-safe encoding it forces — every `f32` as a `u32`, every 64-bit
-//! word as a `(hi, lo)` pair — makes large tensor dumps both slow and ~4×
-//! their natural size. `CheckpointFormat::Binary` instead frames the same
-//! reprs as little-endian words behind an 8-byte magic, so the two formats
-//! are self-describing: a payload starting with [`MAGIC`] is binary,
-//! anything else is parsed as JSON (see [`SearchCheckpoint::decode`]).
+//! Fields are little-endian words behind an 8-byte magic and the
+//! [`SEARCH_CHECKPOINT_VERSION`] word. Floats travel as their raw bits and
+//! 64-bit values (RNG words, `f64`s, counters) as whole `u64` words, so NaN
+//! payloads, negative zeros and values above 2⁵³ survive exactly.
+//!
+//! Everything that grows per iteration — the score/entropy curves and the
+//! robustness event log — sits at the *tail*, after the fixed-size tensor
+//! region, so consecutive checkpoints stay byte-aligned and their XOR delta
+//! (the durability layer's diff primitive) is sparse instead of shifted
+//! garbage.
 //!
 //! The codec is hand-rolled (no new dependencies) and total: every read is
-//! bounds-checked and surfaces [`CheckpointError::Parse`], never a panic.
-//! Float bits travel verbatim, so NaN payloads and negative zeros survive
-//! exactly — the same contract the JSON bit-packing provides.
+//! bounds-checked, list lengths are checked against the bytes left before
+//! anything is allocated, and environment-state nesting is bounded, so
+//! crafted input surfaces [`CheckpointError::Parse`], never a panic.
 
-use crate::checkpoint::{CheckpointError, SearchCheckpoint, TensorRepr};
 use crate::checkpoint::{
-    CurvePointRepr, DasStateRepr, EnvStateRepr, OptimStateRepr, RunnerStateRepr, SupernetStateRepr,
+    CheckpointError, NamedTensor, SearchCheckpoint, SEARCH_CHECKPOINT_VERSION,
 };
 use crate::robustness::{RobustnessEvent, RobustnessEventKind};
+use a3cs_accel::DasState;
+use a3cs_drl::{OptimizerState, RunnerState};
+use a3cs_envs::EnvState;
+use a3cs_nas::SupernetSearchState;
+use a3cs_tensor::Tensor;
 
-/// Leading bytes of every binary checkpoint payload. The trailing digit is
-/// the framing version; bump it on any layout change. v2 moved the growing
-/// score/entropy curves and the robustness event log to the *tail* of the
-/// frame: everything that grows per iteration now sits after the fixed-size
-/// tensor region, so consecutive checkpoints stay word-aligned and their
-/// XOR delta (the durability layer's diff primitive) is sparse instead of
-/// shifted garbage.
-pub(crate) const MAGIC: &[u8; 8] = b"A3CSBIN2";
+/// Leading bytes of every binary search checkpoint.
+const MAGIC: &[u8; 8] = b"A3CSSRCH";
 
-/// `true` if `payload` claims to be a binary checkpoint frame.
-#[must_use]
-pub(crate) fn is_binary(payload: &[u8]) -> bool {
-    payload.starts_with(MAGIC)
-}
+/// Deepest environment-state nesting the decoder accepts. Real states
+/// nest one level per wrapper (`a3cs-envs` has four wrapper types), so
+/// anything deeper is corrupt — and unbounded recursion would overflow
+/// the stack on a crafted payload.
+const MAX_ENV_DEPTH: usize = 16;
 
 // --- writer --------------------------------------------------------------
 
 #[derive(Default)]
-pub(crate) struct Writer {
+struct Writer {
     buf: Vec<u8>,
 }
 
@@ -54,9 +56,12 @@ impl Writer {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
 
-    fn pair(&mut self, (hi, lo): (u32, u32)) {
-        self.u32(hi);
-        self.u32(lo);
+    fn f32(&mut self, x: f32) {
+        self.u32(x.to_bits());
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.u64(x.to_bits());
     }
 
     /// Length prefix for any repeated element. `u32` bounds a single field
@@ -76,17 +81,17 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    fn u32s(&mut self, xs: &[u32]) {
+    fn f32s(&mut self, xs: &[f32]) {
         self.len(xs.len());
         for &x in xs {
-            self.u32(x);
+            self.f32(x);
         }
     }
 
-    fn pairs(&mut self, xs: &[(u32, u32)]) {
+    fn f64s(&mut self, xs: &[f64]) {
         self.len(xs.len());
         for &x in xs {
-            self.pair(x);
+            self.f64(x);
         }
     }
 
@@ -98,347 +103,309 @@ impl Writer {
             self.u64(x as u64);
         }
     }
+
+    fn rng(&mut self, words: [u64; 4]) {
+        for w in words {
+            self.u64(w);
+        }
+    }
+
+    fn list<T>(&mut self, xs: &[T], mut put: impl FnMut(&mut Self, &T)) {
+        self.len(xs.len());
+        for x in xs {
+            put(self, x);
+        }
+    }
 }
 
 // --- reader --------------------------------------------------------------
 
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-fn truncated(what: &str) -> CheckpointError {
-    CheckpointError::Parse(format!("binary checkpoint truncated reading {what}"))
+fn parse_error(what: impl std::fmt::Display) -> CheckpointError {
+    CheckpointError::Parse(format!("binary checkpoint: {what}"))
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CheckpointError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| truncated(what))?;
-        let bytes = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(bytes)
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn take<const N: usize>(&mut self, what: &str) -> Result<[u8; N], CheckpointError> {
+        let bytes = self
+            .buf
+            .get(self.pos..)
+            .and_then(|rest| rest.get(..N))
+            .ok_or_else(|| parse_error(format_args!("truncated reading {what}")))?;
+        self.pos += N;
+        let mut out = [0u8; N];
+        out.copy_from_slice(bytes);
+        Ok(out)
     }
 
     fn u8(&mut self, what: &str) -> Result<u8, CheckpointError> {
-        Ok(self.take(1, what)?[0])
+        Ok(self.take::<1>(what)?[0])
     }
 
     fn u32(&mut self, what: &str) -> Result<u32, CheckpointError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.take(what)?))
     }
 
     fn u64(&mut self, what: &str) -> Result<u64, CheckpointError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.take(what)?))
     }
 
-    fn pair(&mut self, what: &str) -> Result<(u32, u32), CheckpointError> {
-        Ok((self.u32(what)?, self.u32(what)?))
+    fn f32(&mut self, what: &str) -> Result<f32, CheckpointError> {
+        Ok(f32::from_bits(self.u32(what)?))
     }
 
-    /// Read a length prefix, sanity-bounded by the bytes actually left (an
-    /// element needs ≥ 1 byte, so a longer claim is corrupt, not huge).
-    fn len(&mut self, what: &str) -> Result<usize, CheckpointError> {
+    fn f64(&mut self, what: &str) -> Result<f64, CheckpointError> {
+        Ok(f64::from_bits(self.u64(what)?))
+    }
+
+    /// Read a length prefix for elements of at least `min_bytes` each,
+    /// bounded by the bytes actually left: a longer claim is corrupt, not
+    /// huge, and is rejected before anything is allocated.
+    fn len(&mut self, min_bytes: usize, what: &str) -> Result<usize, CheckpointError> {
         // a3cs::allow(lossy-cast): u32→usize widens losslessly.
         let n = self.u32(what)? as usize;
-        if n > self.buf.len() - self.pos {
-            return Err(CheckpointError::Parse(format!(
-                "binary checkpoint claims {n} elements of {what} with only {} bytes left",
-                self.buf.len() - self.pos
+        if n.saturating_mul(min_bytes) > self.left() {
+            return Err(parse_error(format_args!(
+                "claims {n} elements of {what} with only {} bytes left",
+                self.left()
             )));
         }
         Ok(n)
     }
 
     fn str(&mut self, what: &str) -> Result<String, CheckpointError> {
-        let n = self.len(what)?;
-        let bytes = self.take(n, what)?;
+        let n = self.len(1, what)?;
+        let bytes = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
         String::from_utf8(bytes.to_vec())
-            .map_err(|_| CheckpointError::Parse(format!("binary checkpoint: {what} is not UTF-8")))
+            .map_err(|_| parse_error(format_args!("{what} is not UTF-8")))
     }
 
-    fn u32s(&mut self, what: &str) -> Result<Vec<u32>, CheckpointError> {
-        let n = self.len(what)?;
-        (0..n).map(|_| self.u32(what)).collect()
+    fn f32s(&mut self, what: &str) -> Result<Vec<f32>, CheckpointError> {
+        let n = self.len(4, what)?;
+        (0..n).map(|_| self.f32(what)).collect()
     }
 
-    fn pairs(&mut self, what: &str) -> Result<Vec<(u32, u32)>, CheckpointError> {
-        let n = self.len(what)?;
-        (0..n).map(|_| self.pair(what)).collect()
+    fn f64s(&mut self, what: &str) -> Result<Vec<f64>, CheckpointError> {
+        let n = self.len(8, what)?;
+        (0..n).map(|_| self.f64(what)).collect()
     }
 
     fn usizes(&mut self, what: &str) -> Result<Vec<usize>, CheckpointError> {
-        let n = self.len(what)?;
-        // a3cs::allow(lossy-cast): round-trips a value `usizes` wrote from
-        // a live usize; 64-bit targets make the cast the exact inverse.
-        (0..n).map(|_| Ok(self.u64(what)? as usize)).collect()
+        let n = self.len(8, what)?;
+        (0..n)
+            .map(|_| {
+                usize::try_from(self.u64(what)?)
+                    .map_err(|_| parse_error(format_args!("{what} exceeds the address space")))
+            })
+            .collect()
     }
-}
 
-// --- per-repr framing ----------------------------------------------------
-
-fn put_tensor(w: &mut Writer, t: &TensorRepr) {
-    w.str(&t.name);
-    w.usizes(&t.shape);
-    w.u32s(&t.bits);
-}
-
-fn get_tensor(r: &mut Reader<'_>) -> Result<TensorRepr, CheckpointError> {
-    Ok(TensorRepr {
-        name: r.str("tensor name")?,
-        shape: r.usizes("tensor shape")?,
-        bits: r.u32s("tensor bits")?,
-    })
-}
-
-fn put_tensors(w: &mut Writer, ts: &[TensorRepr]) {
-    w.len(ts.len());
-    for t in ts {
-        put_tensor(w, t);
+    fn rng(&mut self, what: &str) -> Result<[u64; 4], CheckpointError> {
+        Ok([
+            self.u64(what)?,
+            self.u64(what)?,
+            self.u64(what)?,
+            self.u64(what)?,
+        ])
     }
-}
 
-fn get_tensors(r: &mut Reader<'_>) -> Result<Vec<TensorRepr>, CheckpointError> {
-    let n = r.len("tensor list")?;
-    (0..n).map(|_| get_tensor(r)).collect()
-}
-
-fn put_env(w: &mut Writer, e: &EnvStateRepr) {
-    w.str(&e.tag);
-    w.pairs(&e.ints);
-    w.u32s(&e.floats);
-    w.len(e.inner.len());
-    for inner in &e.inner {
-        put_env(w, inner);
-    }
-}
-
-fn get_env(r: &mut Reader<'_>) -> Result<EnvStateRepr, CheckpointError> {
-    let tag = r.str("env tag")?;
-    let ints = r.pairs("env ints")?;
-    let floats = r.u32s("env floats")?;
-    let n = r.len("env inner list")?;
-    let inner = (0..n).map(|_| get_env(r)).collect::<Result<_, _>>()?;
-    Ok(EnvStateRepr {
-        tag,
-        ints,
-        floats,
-        inner,
-    })
-}
-
-fn put_runner(w: &mut Writer, s: &RunnerStateRepr) {
-    w.len(s.envs.len());
-    for e in &s.envs {
-        put_env(w, e);
-    }
-    w.len(s.lane_rngs.len());
-    for rng in &s.lane_rngs {
-        w.pairs(rng);
-    }
-    w.len(s.current_obs.len());
-    for obs in &s.current_obs {
-        w.u32s(obs);
-    }
-}
-
-fn get_runner(r: &mut Reader<'_>) -> Result<RunnerStateRepr, CheckpointError> {
-    let n_envs = r.len("runner envs")?;
-    let envs = (0..n_envs).map(|_| get_env(r)).collect::<Result<_, _>>()?;
-    let n_rngs = r.len("runner lane rngs")?;
-    let lane_rngs = (0..n_rngs)
-        .map(|_| r.pairs("lane rng words"))
-        .collect::<Result<_, _>>()?;
-    let n_obs = r.len("runner observations")?;
-    let current_obs = (0..n_obs)
-        .map(|_| r.u32s("observation bits"))
-        .collect::<Result<_, _>>()?;
-    Ok(RunnerStateRepr {
-        envs,
-        lane_rngs,
-        current_obs,
-    })
-}
-
-fn put_optim(w: &mut Writer, o: &OptimStateRepr) {
-    w.str(&o.kind);
-    w.u32(o.lr);
-    w.len(o.key_names.len());
-    for name in &o.key_names {
-        w.str(name);
-    }
-    w.len(o.key_shapes.len());
-    for shape in &o.key_shapes {
-        w.usizes(shape);
-    }
-    w.len(o.slots.len());
-    for slot in &o.slots {
-        w.len(slot.len());
-        for buf in slot {
-            w.u32s(buf);
+    fn flag(&mut self, what: &str) -> Result<bool, CheckpointError> {
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(parse_error(format_args!(
+                "{what} flag must be 0 or 1, got {other}"
+            ))),
         }
     }
-    w.pairs(&o.scalars);
+
+    /// Read a list whose elements are each at least 4 bytes (every element
+    /// starts with a word or a length prefix).
+    fn list<T>(
+        &mut self,
+        what: &str,
+        mut get: impl FnMut(&mut Self) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let n = self.len(4, what)?;
+        (0..n).map(|_| get(self)).collect()
+    }
 }
 
-fn get_optim(r: &mut Reader<'_>) -> Result<OptimStateRepr, CheckpointError> {
-    let kind = r.str("optimizer kind")?;
-    let lr = r.u32("optimizer lr")?;
-    let n_names = r.len("optimizer key names")?;
-    let key_names = (0..n_names)
-        .map(|_| r.str("optimizer key name"))
-        .collect::<Result<_, _>>()?;
-    let n_shapes = r.len("optimizer key shapes")?;
-    let key_shapes = (0..n_shapes)
-        .map(|_| r.usizes("optimizer key shape"))
-        .collect::<Result<_, _>>()?;
-    let n_slots = r.len("optimizer slots")?;
-    let slots = (0..n_slots)
-        .map(|_| {
-            let n_bufs = r.len("optimizer slot buffers")?;
-            (0..n_bufs)
-                .map(|_| r.u32s("optimizer slot buffer"))
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .collect::<Result<_, _>>()?;
-    let scalars = r.pairs("optimizer scalars")?;
-    Ok(OptimStateRepr {
-        kind,
-        lr,
-        key_names,
-        key_shapes,
-        slots,
-        scalars,
+// --- per-field framing ---------------------------------------------------
+
+fn put_tensor(w: &mut Writer, t: &NamedTensor) {
+    w.str(&t.name);
+    w.usizes(t.value.shape());
+    w.f32s(t.value.data());
+}
+
+fn get_tensor(r: &mut Reader<'_>) -> Result<NamedTensor, CheckpointError> {
+    let name = r.str("tensor name")?;
+    let shape = r.usizes("tensor shape")?;
+    let data = r.f32s("tensor data")?;
+    let value = Tensor::from_vec(data, &shape)
+        .map_err(|e| parse_error(format_args!("tensor {name:?}: {e}")))?;
+    Ok(NamedTensor { name, value })
+}
+
+fn put_env(w: &mut Writer, e: &EnvState) {
+    w.str(e.tag());
+    w.list(e.ints(), |w, &i| {
+        // a3cs::allow(lossy-cast): i64→u64 keeps the two's-complement bits;
+        // `get_env` inverts it exactly.
+        w.u64(i as u64);
+    });
+    w.f32s(e.floats());
+    w.list(e.inner(), put_env);
+}
+
+fn get_env(r: &mut Reader<'_>, depth: usize) -> Result<EnvState, CheckpointError> {
+    if depth > MAX_ENV_DEPTH {
+        return Err(parse_error(format_args!(
+            "environment state nests deeper than {MAX_ENV_DEPTH} levels"
+        )));
+    }
+    let tag = r.str("env tag")?;
+    // a3cs::allow(lossy-cast): u64→i64 is the exact inverse of the
+    // two's-complement cast in `put_env`.
+    let ints = r.list("env ints", |r| Ok(r.u64("env int")? as i64))?;
+    let floats = r.f32s("env floats")?;
+    let inner = r.list("env inner list", |r| get_env(r, depth + 1))?;
+    Ok(EnvState::from_parts(tag, ints, floats, inner))
+}
+
+fn put_runner(w: &mut Writer, s: &RunnerState) {
+    w.list(&s.envs, put_env);
+    w.list(&s.lane_rngs, |w, &rng| w.rng(rng));
+    w.list(&s.current_obs, |w, obs| w.f32s(obs));
+}
+
+fn get_runner(r: &mut Reader<'_>) -> Result<RunnerState, CheckpointError> {
+    Ok(RunnerState {
+        envs: r.list("runner envs", |r| get_env(r, 0))?,
+        lane_rngs: r.list("runner lane rngs", |r| r.rng("lane rng"))?,
+        current_obs: r.list("runner observations", |r| r.f32s("observation"))?,
     })
 }
 
-fn put_das(w: &mut Writer, d: &DasStateRepr) {
-    w.len(d.logits.len());
-    for row in &d.logits {
-        w.pairs(row);
-    }
-    w.pairs(&d.rng);
+fn put_optim(w: &mut Writer, o: &OptimizerState) {
+    w.str(&o.kind);
+    w.f32(o.lr);
+    w.list(&o.keys, |w, (name, shape)| {
+        w.str(name);
+        w.usizes(shape);
+    });
+    w.list(&o.slots, |w, slot| w.list(slot, |w, buf| w.f32s(buf)));
+    w.f64s(&o.scalars);
+}
+
+fn get_optim(r: &mut Reader<'_>) -> Result<OptimizerState, CheckpointError> {
+    Ok(OptimizerState {
+        kind: r.str("optimizer kind")?,
+        lr: r.f32("optimizer lr")?,
+        keys: r.list("optimizer keys", |r| {
+            Ok((
+                r.str("optimizer key name")?,
+                r.usizes("optimizer key shape")?,
+            ))
+        })?,
+        slots: r.list("optimizer slots", |r| {
+            r.list("optimizer slot buffers", |r| {
+                r.f32s("optimizer slot buffer")
+            })
+        })?,
+        scalars: r.f64s("optimizer scalars")?,
+    })
+}
+
+fn put_das(w: &mut Writer, d: &DasState) {
+    w.list(&d.logits, |w, row| w.f64s(row));
+    w.rng(d.rng);
     match d.baseline {
-        Some(p) => {
+        Some(b) => {
             w.u8(1);
-            w.pair(p);
+            w.f64(b);
         }
         None => w.u8(0),
     }
-    w.pair(d.temperature);
+    w.f64(d.temperature);
 }
 
-fn get_das(r: &mut Reader<'_>) -> Result<DasStateRepr, CheckpointError> {
-    let n_rows = r.len("das logits")?;
-    let logits = (0..n_rows)
-        .map(|_| r.pairs("das logit row"))
-        .collect::<Result<_, _>>()?;
-    let rng = r.pairs("das rng")?;
-    let baseline = match r.u8("das baseline flag")? {
-        0 => None,
-        1 => Some(r.pair("das baseline")?),
-        other => {
-            return Err(CheckpointError::Parse(format!(
-                "binary checkpoint: das baseline flag must be 0 or 1, got {other}"
-            )))
-        }
-    };
-    let temperature = r.pair("das temperature")?;
-    Ok(DasStateRepr {
-        logits,
-        rng,
-        baseline,
-        temperature,
+fn get_das(r: &mut Reader<'_>) -> Result<DasState, CheckpointError> {
+    Ok(DasState {
+        logits: r.list("das logits", |r| r.f64s("das logit row"))?,
+        rng: r.rng("das rng")?,
+        baseline: if r.flag("das baseline")? {
+            Some(r.f64("das baseline")?)
+        } else {
+            None
+        },
+        temperature: r.f64("das temperature")?,
     })
 }
 
-fn put_supernet(w: &mut Writer, s: &SupernetStateRepr) {
-    w.len(s.alpha.len());
-    for row in &s.alpha {
-        w.u32s(row);
-    }
-    w.pairs(&s.gumbel_rng);
+fn put_supernet(w: &mut Writer, s: &SupernetSearchState) {
+    w.list(&s.alpha, |w, row| w.f32s(row));
+    w.rng(s.gumbel_rng);
     w.u64(s.step);
 }
 
-fn get_supernet(r: &mut Reader<'_>) -> Result<SupernetStateRepr, CheckpointError> {
-    let n_rows = r.len("alpha rows")?;
-    let alpha = (0..n_rows)
-        .map(|_| r.u32s("alpha row"))
-        .collect::<Result<_, _>>()?;
-    let gumbel_rng = r.pairs("gumbel rng")?;
-    let step = r.u64("supernet step")?;
-    Ok(SupernetStateRepr {
-        alpha,
-        gumbel_rng,
-        step,
+fn get_supernet(r: &mut Reader<'_>) -> Result<SupernetSearchState, CheckpointError> {
+    Ok(SupernetSearchState {
+        alpha: r.list("alpha rows", |r| r.f32s("alpha row"))?,
+        gumbel_rng: r.rng("gumbel rng")?,
+        step: r.u64("supernet step")?,
     })
 }
 
-fn put_curve(w: &mut Writer, c: &[CurvePointRepr]) {
-    w.len(c.len());
-    for p in c {
-        w.u64(p.step);
-        w.u32(p.bits);
-    }
+fn put_curve(w: &mut Writer, c: &[(u64, f32)]) {
+    w.list(c, |w, &(step, v)| {
+        w.u64(step);
+        w.f32(v);
+    });
 }
 
-fn get_curve(r: &mut Reader<'_>) -> Result<Vec<CurvePointRepr>, CheckpointError> {
-    let n = r.len("curve")?;
-    (0..n)
-        .map(|_| {
-            Ok(CurvePointRepr {
-                step: r.u64("curve step")?,
-                bits: r.u32("curve bits")?,
-            })
-        })
-        .collect()
+fn get_curve(r: &mut Reader<'_>) -> Result<Vec<(u64, f32)>, CheckpointError> {
+    r.list("curve", |r| {
+        Ok((r.u64("curve step")?, r.f32("curve value")?))
+    })
 }
 
-fn put_events(w: &mut Writer, events: &[RobustnessEvent]) {
-    w.len(events.len());
-    for e in events {
-        w.u64(e.iteration);
-        // A kind travels as its index in the stable `all()` order, so
-        // appending new kinds keeps old payloads readable.
-        let index = RobustnessEventKind::all()
-            .iter()
-            .position(|k| *k == e.kind)
-            .unwrap_or_default();
-        // a3cs::allow(lossy-cast): `index` is a position within the fixed
-        // RobustnessEventKind::all() table (single digits).
-        w.u32(index as u32);
-        w.str(&e.detail);
-    }
+fn put_event(w: &mut Writer, e: &RobustnessEvent) {
+    w.u64(e.iteration);
+    // A kind travels as its index in the stable `all()` order, so
+    // appending new kinds keeps old payloads readable.
+    let index = RobustnessEventKind::all()
+        .iter()
+        .position(|k| *k == e.kind)
+        .unwrap_or_default();
+    // a3cs::allow(lossy-cast): `index` is a position within the fixed
+    // RobustnessEventKind::all() table (single digits).
+    w.u32(index as u32);
+    w.str(&e.detail);
 }
 
-fn get_events(r: &mut Reader<'_>) -> Result<Vec<RobustnessEvent>, CheckpointError> {
-    let n = r.len("robustness events")?;
-    (0..n)
-        .map(|_| {
-            let iteration = r.u64("event iteration")?;
-            // a3cs::allow(lossy-cast): u32→usize widens losslessly.
-            let index = r.u32("event kind")? as usize;
-            let kind = *RobustnessEventKind::all().get(index).ok_or_else(|| {
-                CheckpointError::Parse(format!(
-                    "binary checkpoint: unknown robustness event kind index {index}"
-                ))
-            })?;
-            let detail = r.str("event detail")?;
-            Ok(RobustnessEvent {
-                iteration,
-                kind,
-                detail,
-            })
-        })
-        .collect()
+fn get_event(r: &mut Reader<'_>) -> Result<RobustnessEvent, CheckpointError> {
+    let iteration = r.u64("event iteration")?;
+    // a3cs::allow(lossy-cast): u32→usize widens losslessly.
+    let index = r.u32("event kind")? as usize;
+    let kind = *RobustnessEventKind::all()
+        .get(index)
+        .ok_or_else(|| parse_error(format_args!("unknown robustness event kind index {index}")))?;
+    Ok(RobustnessEvent {
+        iteration,
+        kind,
+        detail: r.str("event detail")?,
+    })
 }
 
 // --- whole-checkpoint framing --------------------------------------------
@@ -446,14 +413,14 @@ fn get_events(r: &mut Reader<'_>) -> Result<Vec<RobustnessEvent>, CheckpointErro
 pub(crate) fn encode(ck: &SearchCheckpoint) -> Vec<u8> {
     let mut w = Writer::default();
     w.buf.extend_from_slice(MAGIC);
-    w.u32(ck.version);
+    w.u32(SEARCH_CHECKPOINT_VERSION);
     w.str(&ck.fingerprint);
-    w.pair(ck.seed);
+    w.u64(ck.seed);
     w.u64(ck.steps);
     w.u64(ck.iteration);
     w.u64(ck.next_eval);
-    put_tensors(&mut w, &ck.weight_params);
-    put_tensors(&mut w, &ck.state_tensors);
+    w.list(&ck.weight_params, put_tensor);
+    w.list(&ck.state_tensors, put_tensor);
     put_supernet(&mut w, &ck.supernet);
     put_optim(&mut w, &ck.weight_opt);
     put_optim(&mut w, &ck.alpha_opt);
@@ -466,61 +433,59 @@ pub(crate) fn encode(ck: &SearchCheckpoint) -> Vec<u8> {
         }
         None => w.u8(0),
     }
-    w.u32(ck.lr_scale);
+    w.f32(ck.lr_scale);
     w.u32(ck.rollbacks_left);
-    // Tail region: per-iteration growth lives last (see MAGIC docs).
+    // Tail region: per-iteration growth lives last (see the module docs).
     put_curve(&mut w, &ck.score_curve);
     put_curve(&mut w, &ck.entropy_curve);
-    put_events(&mut w, &ck.events);
+    w.list(&ck.events, put_event);
     w.buf
 }
 
 pub(crate) fn decode(payload: &[u8]) -> Result<SearchCheckpoint, CheckpointError> {
-    if !is_binary(payload) {
-        return Err(CheckpointError::Parse(
-            "payload does not start with the binary checkpoint magic".to_string(),
+    if !payload.starts_with(MAGIC) {
+        return Err(parse_error(
+            "payload does not start with the checkpoint magic",
         ));
     }
     let mut r = Reader {
         buf: payload,
         pos: MAGIC.len(),
     };
+    let version = r.u32("version")?;
+    if version != SEARCH_CHECKPOINT_VERSION {
+        return Err(CheckpointError::Parse(format!(
+            "checkpoint version {version} (this build reads {SEARCH_CHECKPOINT_VERSION})"
+        )));
+    }
+    // Struct literal fields evaluate in the order written, which is what
+    // keeps these reads in encode order.
     let ck = SearchCheckpoint {
-        version: r.u32("version")?,
         fingerprint: r.str("fingerprint")?,
-        seed: r.pair("seed")?,
+        seed: r.u64("seed")?,
         steps: r.u64("steps")?,
         iteration: r.u64("iteration")?,
         next_eval: r.u64("next eval")?,
-        weight_params: get_tensors(&mut r)?,
-        state_tensors: get_tensors(&mut r)?,
+        weight_params: r.list("weight params", get_tensor)?,
+        state_tensors: r.list("state tensors", get_tensor)?,
         supernet: get_supernet(&mut r)?,
         weight_opt: get_optim(&mut r)?,
         alpha_opt: get_optim(&mut r)?,
         das: get_das(&mut r)?,
         train_runner: get_runner(&mut r)?,
-        val_runner: match r.u8("val runner flag")? {
-            0 => None,
-            1 => Some(get_runner(&mut r)?),
-            other => {
-                return Err(CheckpointError::Parse(format!(
-                    "binary checkpoint: val runner flag must be 0 or 1, got {other}"
-                )))
-            }
+        val_runner: if r.flag("val runner")? {
+            Some(get_runner(&mut r)?)
+        } else {
+            None
         },
-        lr_scale: r.u32("lr scale")?,
+        lr_scale: r.f32("lr scale")?,
         rollbacks_left: r.u32("rollbacks left")?,
-        // Tail region, in encode order: struct literal fields evaluate in
-        // the order written, which is what keeps these reads last.
         score_curve: get_curve(&mut r)?,
         entropy_curve: get_curve(&mut r)?,
-        events: get_events(&mut r)?,
+        events: r.list("robustness events", get_event)?,
     };
-    if r.pos != payload.len() {
-        return Err(CheckpointError::Parse(format!(
-            "binary checkpoint has {} trailing bytes",
-            payload.len() - r.pos
-        )));
+    if r.left() != 0 {
+        return Err(parse_error(format_args!("{} trailing bytes", r.left())));
     }
     Ok(ck)
 }

@@ -9,78 +9,24 @@
 //! stopped (the contract established in `DESIGN.md` §9 makes this provable
 //! by equality).
 //!
-//! # Bit-safe serialisation
-//!
-//! The vendored `serde` stores every number as an `f64`, which silently
-//! loses precision above 2⁵³ and maps non-finite floats to `null`. A
-//! checkpoint therefore never stores a raw `f32`/`f64`/`u64`/wide `i64`:
-//! `f32`s travel as their `u32` bit patterns, and 64-bit values (RNG
-//! words, `f64` bits, seeds) travel as `(hi, lo)` pairs of `u32`s. Plain
-//! `u64` fields are used only for counters that stay far below 2⁵³.
+//! The snapshot holds the crates' own export types ([`OptimizerState`],
+//! [`DasState`], [`RunnerState`], [`SupernetSearchState`]) plus named
+//! tensors, so capture and restore are plain clones. The one on-disk
+//! encoding is the binary frame in [`crate::binfmt`], which writes every
+//! float as its raw bits: NaN payloads and negative zeros survive exactly.
 
 use crate::config::CoSearchConfig;
 use crate::robustness::RobustnessEvent;
 use a3cs_accel::DasState;
 use a3cs_drl::{fnv1a64, OptimizerState, RunnerState};
-use a3cs_envs::EnvState;
 use a3cs_nas::SupernetSearchState;
 use a3cs_nn::Param;
 use a3cs_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Format version of [`SearchCheckpoint`]. Bumped on any layout change;
 /// older versions are rejected (never mis-read).
-pub const SEARCH_CHECKPOINT_VERSION: u32 = 2;
-
-// --- bit-safe packing helpers -------------------------------------------
-
-pub(crate) fn u64_pair(x: u64) -> (u32, u32) {
-    // a3cs::allow(lossy-cast): intentional 64→2×32 split; `pair_u64`
-    // reassembles both halves, so the round trip is bit-exact.
-    ((x >> 32) as u32, x as u32)
-}
-
-pub(crate) fn pair_u64((hi, lo): (u32, u32)) -> u64 {
-    (u64::from(hi) << 32) | u64::from(lo)
-}
-
-pub(crate) fn f64_pair(x: f64) -> (u32, u32) {
-    u64_pair(x.to_bits())
-}
-
-pub(crate) fn pair_f64(p: (u32, u32)) -> f64 {
-    f64::from_bits(pair_u64(p))
-}
-
-fn rng_pairs(words: [u64; 4]) -> Vec<(u32, u32)> {
-    words.iter().map(|&w| u64_pair(w)).collect()
-}
-
-fn pairs_rng(pairs: &[(u32, u32)]) -> Result<[u64; 4], CheckpointError> {
-    if pairs.len() != 4 {
-        return Err(CheckpointError::Incompatible(format!(
-            "RNG state has {} words, expected 4",
-            pairs.len()
-        )));
-    }
-    Ok([
-        pair_u64(pairs[0]),
-        pair_u64(pairs[1]),
-        pair_u64(pairs[2]),
-        pair_u64(pairs[3]),
-    ])
-}
-
-fn f32_bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-fn bits_f32(v: &[u32]) -> Vec<f32> {
-    v.iter().map(|&b| f32::from_bits(b)).collect()
-}
-
-// --- why a checkpoint could not be applied ------------------------------
+pub const SEARCH_CHECKPOINT_VERSION: u32 = 3;
 
 /// Why a [`SearchCheckpoint`] could not be parsed or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,155 +61,56 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-// --- serialisable representations ---------------------------------------
-
-/// One named tensor (parameter or non-learnable state buffer), data as
-/// `f32` bit patterns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TensorRepr {
+/// One named tensor (parameter or non-learnable state buffer).
+#[derive(Debug, Clone)]
+pub(crate) struct NamedTensor {
     pub(crate) name: String,
-    pub(crate) shape: Vec<usize>,
-    pub(crate) bits: Vec<u32>,
+    pub(crate) value: Tensor,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct EnvStateRepr {
-    pub(crate) tag: String,
-    /// `i64` stream values as `(hi, lo)` pairs of their two's-complement
-    /// bits (environment ints embed RNG words, which exceed 2⁵³).
-    pub(crate) ints: Vec<(u32, u32)>,
-    pub(crate) floats: Vec<u32>,
-    pub(crate) inner: Vec<EnvStateRepr>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct RunnerStateRepr {
-    pub(crate) envs: Vec<EnvStateRepr>,
-    pub(crate) lane_rngs: Vec<Vec<(u32, u32)>>,
-    pub(crate) current_obs: Vec<Vec<u32>>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct OptimStateRepr {
-    pub(crate) kind: String,
-    pub(crate) lr: u32,
-    pub(crate) key_names: Vec<String>,
-    pub(crate) key_shapes: Vec<Vec<usize>>,
-    pub(crate) slots: Vec<Vec<Vec<u32>>>,
-    /// `f64` scalars (Adam bias-correction powers) as bit pairs.
-    pub(crate) scalars: Vec<(u32, u32)>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct DasStateRepr {
-    /// `f64` logits as bit pairs, one row per knob.
-    pub(crate) logits: Vec<Vec<(u32, u32)>>,
-    pub(crate) rng: Vec<(u32, u32)>,
-    pub(crate) baseline: Option<(u32, u32)>,
-    pub(crate) temperature: (u32, u32),
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct SupernetStateRepr {
-    pub(crate) alpha: Vec<Vec<u32>>,
-    pub(crate) gumbel_rng: Vec<(u32, u32)>,
-    pub(crate) step: u64,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub(crate) struct CurvePointRepr {
-    pub(crate) step: u64,
-    pub(crate) bits: u32,
-}
-
-/// A complete, versioned snapshot of the co-search loop state, written at
-/// an iteration boundary. See the module docs for the serialisation
-/// contract.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A complete snapshot of the co-search loop state, taken at an iteration
+/// boundary. See the module docs for what it covers.
+#[derive(Debug, Clone)]
 pub struct SearchCheckpoint {
-    pub(crate) version: u32,
     /// FNV-1a fingerprint of the producing configuration (fault plan and
     /// thread count excluded — neither changes the trajectory).
     pub(crate) fingerprint: String,
-    pub(crate) seed: (u32, u32),
+    pub(crate) seed: u64,
     pub(crate) steps: u64,
     pub(crate) iteration: u64,
     pub(crate) next_eval: u64,
-    pub(crate) score_curve: Vec<CurvePointRepr>,
-    pub(crate) entropy_curve: Vec<CurvePointRepr>,
+    pub(crate) score_curve: Vec<(u64, f32)>,
+    pub(crate) entropy_curve: Vec<(u64, f32)>,
     /// Learnable parameters of the agent (supernet weights + heads).
-    pub(crate) weight_params: Vec<TensorRepr>,
+    pub(crate) weight_params: Vec<NamedTensor>,
     /// Non-learnable state tensors (e.g. batch-norm running statistics).
-    pub(crate) state_tensors: Vec<TensorRepr>,
-    pub(crate) supernet: SupernetStateRepr,
-    pub(crate) weight_opt: OptimStateRepr,
-    pub(crate) alpha_opt: OptimStateRepr,
-    pub(crate) das: DasStateRepr,
-    pub(crate) train_runner: RunnerStateRepr,
-    pub(crate) val_runner: Option<RunnerStateRepr>,
-    pub(crate) lr_scale: u32,
+    pub(crate) state_tensors: Vec<NamedTensor>,
+    pub(crate) supernet: SupernetSearchState,
+    pub(crate) weight_opt: OptimizerState,
+    pub(crate) alpha_opt: OptimizerState,
+    pub(crate) das: DasState,
+    pub(crate) train_runner: RunnerState,
+    pub(crate) val_runner: Option<RunnerState>,
+    pub(crate) lr_scale: f32,
     pub(crate) rollbacks_left: u32,
     pub(crate) events: Vec<RobustnessEvent>,
 }
 
 impl SearchCheckpoint {
-    /// Serialise to compact JSON (the payload sealed into the checkpoint
-    /// envelope by the store).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        match serde_json::to_string(self) {
-            Ok(json) => json,
-            Err(e) => unreachable!("vendored serde_json serialisation is infallible: {e}"),
-        }
-    }
-
-    /// Parse a checkpoint payload, rejecting other versions.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Parse`] on malformed JSON or a version mismatch.
-    pub fn from_json(payload: &str) -> Result<Self, CheckpointError> {
-        let ck: SearchCheckpoint =
-            serde_json::from_str(payload).map_err(|e| CheckpointError::Parse(e.to_string()))?;
-        if ck.version != SEARCH_CHECKPOINT_VERSION {
-            return Err(CheckpointError::Parse(format!(
-                "checkpoint version {} (this build reads {})",
-                ck.version, SEARCH_CHECKPOINT_VERSION
-            )));
-        }
-        Ok(ck)
-    }
-
-    /// Serialise to the length-prefixed binary frame
-    /// ([`crate::fault::CheckpointFormat::Binary`]).
+    /// Serialise to the binary payload the checkpoint store frames.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         crate::binfmt::encode(self)
     }
 
-    /// Parse a checkpoint payload in either format: binary if it starts
-    /// with the binary magic, JSON otherwise. Rejects other versions.
+    /// Parse a payload written by [`SearchCheckpoint::to_bytes`].
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Parse`] on a malformed payload or a version
     /// mismatch.
     pub fn decode(payload: &[u8]) -> Result<Self, CheckpointError> {
-        let ck = if crate::binfmt::is_binary(payload) {
-            crate::binfmt::decode(payload)?
-        } else {
-            let text = std::str::from_utf8(payload).map_err(|_| {
-                CheckpointError::Parse("checkpoint payload is neither binary nor UTF-8".to_string())
-            })?;
-            return Self::from_json(text);
-        };
-        if ck.version != SEARCH_CHECKPOINT_VERSION {
-            return Err(CheckpointError::Parse(format!(
-                "checkpoint version {} (this build reads {})",
-                ck.version, SEARCH_CHECKPOINT_VERSION
-            )));
-        }
-        Ok(ck)
+        crate::binfmt::decode(payload)
     }
 
     /// Environment steps consumed at capture time.
@@ -290,309 +137,130 @@ pub fn config_fingerprint(config: &CoSearchConfig) -> String {
     format!("{:016x}", fnv1a64(format!("{normalized:?}").as_bytes()))
 }
 
-// --- conversions to/from live state -------------------------------------
-
-pub(crate) fn tensors_to_repr(params: &[Param]) -> Vec<TensorRepr> {
+pub(crate) fn capture_tensors(params: &[Param]) -> Vec<NamedTensor> {
     params
         .iter()
-        .map(|p| {
-            let value = p.value();
-            TensorRepr {
-                name: p.name().to_owned(),
-                shape: value.shape().to_vec(),
-                bits: f32_bits(value.data()),
-            }
+        .map(|p| NamedTensor {
+            name: p.name().to_owned(),
+            value: p.value(),
         })
         .collect()
 }
 
-pub(crate) fn apply_tensor_reprs(
-    reprs: &[TensorRepr],
+pub(crate) fn apply_tensors(
+    tensors: &[NamedTensor],
     params: &[Param],
     what: &str,
 ) -> Result<(), CheckpointError> {
-    if reprs.len() != params.len() {
+    if tensors.len() != params.len() {
         return Err(CheckpointError::Incompatible(format!(
             "{what}: checkpoint has {} tensors, model has {}",
-            reprs.len(),
+            tensors.len(),
             params.len()
         )));
     }
     // Validate the whole list before mutating anything.
-    for (r, p) in reprs.iter().zip(params) {
-        if r.name != p.name() || r.shape != p.shape() {
+    for (t, p) in tensors.iter().zip(params) {
+        if t.name != p.name() || t.value.shape() != p.shape() {
             return Err(CheckpointError::Incompatible(format!(
                 "{what}: checkpoint tensor {:?} {:?} vs model {:?} {:?}",
-                r.name,
-                r.shape,
+                t.name,
+                t.value.shape(),
                 p.name(),
                 p.shape()
             )));
         }
-        let numel: usize = r.shape.iter().product();
-        if r.bits.len() != numel {
-            return Err(CheckpointError::Incompatible(format!(
-                "{what}: tensor {:?} has {} values for shape {:?}",
-                r.name,
-                r.bits.len(),
-                r.shape
-            )));
-        }
     }
-    for (r, p) in reprs.iter().zip(params) {
-        match Tensor::from_vec(bits_f32(&r.bits), &r.shape) {
-            Ok(t) => p.set_value(t),
-            Err(e) => unreachable!("length validated above: {e:?}"),
-        }
+    for (t, p) in tensors.iter().zip(params) {
+        p.set_value(t.value.clone());
     }
     Ok(())
-}
-
-pub(crate) fn env_to_repr(state: &EnvState) -> EnvStateRepr {
-    EnvStateRepr {
-        tag: state.tag().to_owned(),
-        ints: state
-            .ints()
-            .iter()
-            // a3cs::allow(lossy-cast): i64→u64 keeps the two's-complement
-            // bits; `repr_to_env` inverts it exactly.
-            .map(|&i| u64_pair(i as u64))
-            .collect(),
-        floats: f32_bits(state.floats()),
-        inner: state.inner().iter().map(env_to_repr).collect(),
-    }
-}
-
-pub(crate) fn repr_to_env(repr: &EnvStateRepr) -> EnvState {
-    EnvState::from_parts(
-        repr.tag.clone(),
-        // a3cs::allow(lossy-cast): u64→i64 is the exact inverse of the
-        // two's-complement cast in `env_to_repr`.
-        repr.ints.iter().map(|&p| pair_u64(p) as i64).collect(),
-        bits_f32(&repr.floats),
-        repr.inner.iter().map(repr_to_env).collect(),
-    )
-}
-
-pub(crate) fn runner_to_repr(state: &RunnerState) -> RunnerStateRepr {
-    RunnerStateRepr {
-        envs: state.envs.iter().map(env_to_repr).collect(),
-        lane_rngs: state.lane_rngs.iter().map(|&w| rng_pairs(w)).collect(),
-        current_obs: state.current_obs.iter().map(|o| f32_bits(o)).collect(),
-    }
-}
-
-pub(crate) fn repr_to_runner(repr: &RunnerStateRepr) -> Result<RunnerState, CheckpointError> {
-    Ok(RunnerState {
-        envs: repr.envs.iter().map(repr_to_env).collect(),
-        lane_rngs: repr
-            .lane_rngs
-            .iter()
-            .map(|p| pairs_rng(p))
-            .collect::<Result<_, _>>()?,
-        current_obs: repr.current_obs.iter().map(|o| bits_f32(o)).collect(),
-    })
-}
-
-pub(crate) fn optim_to_repr(state: &OptimizerState) -> OptimStateRepr {
-    OptimStateRepr {
-        kind: state.kind.clone(),
-        lr: state.lr.to_bits(),
-        key_names: state.keys.iter().map(|(n, _)| n.clone()).collect(),
-        key_shapes: state.keys.iter().map(|(_, s)| s.clone()).collect(),
-        slots: state
-            .slots
-            .iter()
-            .map(|slot| slot.iter().map(|buf| f32_bits(buf)).collect())
-            .collect(),
-        scalars: state.scalars.iter().map(|&s| f64_pair(s)).collect(),
-    }
-}
-
-pub(crate) fn repr_to_optim(repr: &OptimStateRepr) -> Result<OptimizerState, CheckpointError> {
-    if repr.key_names.len() != repr.key_shapes.len() {
-        return Err(CheckpointError::Incompatible(format!(
-            "optimizer state has {} key names for {} key shapes",
-            repr.key_names.len(),
-            repr.key_shapes.len()
-        )));
-    }
-    Ok(OptimizerState {
-        kind: repr.kind.clone(),
-        lr: f32::from_bits(repr.lr),
-        keys: repr
-            .key_names
-            .iter()
-            .cloned()
-            .zip(repr.key_shapes.iter().cloned())
-            .collect(),
-        slots: repr
-            .slots
-            .iter()
-            .map(|slot| slot.iter().map(|buf| bits_f32(buf)).collect())
-            .collect(),
-        scalars: repr.scalars.iter().map(|&p| pair_f64(p)).collect(),
-    })
-}
-
-pub(crate) fn das_to_repr(state: &DasState) -> DasStateRepr {
-    DasStateRepr {
-        logits: state
-            .logits
-            .iter()
-            .map(|row| row.iter().map(|&x| f64_pair(x)).collect())
-            .collect(),
-        rng: rng_pairs(state.rng),
-        baseline: state.baseline.map(f64_pair),
-        temperature: f64_pair(state.temperature),
-    }
-}
-
-pub(crate) fn repr_to_das(repr: &DasStateRepr) -> Result<DasState, CheckpointError> {
-    Ok(DasState {
-        logits: repr
-            .logits
-            .iter()
-            .map(|row| row.iter().map(|&p| pair_f64(p)).collect())
-            .collect(),
-        rng: pairs_rng(&repr.rng)?,
-        baseline: repr.baseline.map(pair_f64),
-        temperature: pair_f64(repr.temperature),
-    })
-}
-
-pub(crate) fn supernet_to_repr(state: &SupernetSearchState) -> SupernetStateRepr {
-    SupernetStateRepr {
-        alpha: state.alpha.iter().map(|row| f32_bits(row)).collect(),
-        gumbel_rng: rng_pairs(state.gumbel_rng),
-        step: state.step,
-    }
-}
-
-pub(crate) fn repr_to_supernet(
-    repr: &SupernetStateRepr,
-) -> Result<SupernetSearchState, CheckpointError> {
-    Ok(SupernetSearchState {
-        alpha: repr.alpha.iter().map(|row| bits_f32(row)).collect(),
-        gumbel_rng: pairs_rng(&repr.gumbel_rng)?,
-        step: repr.step,
-    })
-}
-
-pub(crate) fn curve_to_repr(curve: &[(u64, f32)]) -> Vec<CurvePointRepr> {
-    curve
-        .iter()
-        .map(|&(step, v)| CurvePointRepr {
-            step,
-            bits: v.to_bits(),
-        })
-        .collect()
-}
-
-pub(crate) fn repr_to_curve(reprs: &[CurvePointRepr]) -> Vec<(u64, f32)> {
-    reprs
-        .iter()
-        .map(|r| (r.step, f32::from_bits(r.bits)))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::robustness::RobustnessEventKind;
+    use a3cs_envs::EnvState;
     use proptest::prelude::*;
 
-    fn pair_strategy() -> impl Strategy<Value = (u32, u32)> {
-        (any::<u32>(), any::<u32>())
-    }
-
-    fn tensor_strategy() -> impl Strategy<Value = TensorRepr> {
-        (1usize..5, prop::collection::vec(any::<u32>(), 1..6)).prop_map(|(d, bits)| TensorRepr {
-            name: format!("t{d}"),
-            shape: vec![bits.len()],
-            bits,
+    fn tensor_strategy() -> impl Strategy<Value = NamedTensor> {
+        (1usize..5, prop::collection::vec(any::<u32>(), 1..6)).prop_map(|(d, bits)| {
+            let n = bits.len();
+            let data = bits.into_iter().map(f32::from_bits).collect();
+            NamedTensor {
+                name: format!("t{d}"),
+                value: Tensor::from_vec(data, &[n]).expect("length matches shape"),
+            }
         })
     }
 
-    fn env_strategy() -> impl Strategy<Value = EnvStateRepr> {
+    fn env_strategy() -> impl Strategy<Value = EnvState> {
         (
-            prop::collection::vec(pair_strategy(), 0..6),
+            prop::collection::vec(any::<i64>(), 0..6),
             prop::collection::vec(any::<u32>(), 0..6),
         )
-            .prop_map(|(ints, floats)| EnvStateRepr {
-                tag: "Env".to_string(),
-                ints,
-                floats,
-                inner: Vec::new(),
+            .prop_map(|(ints, floats)| {
+                let floats = floats.into_iter().map(f32::from_bits).collect();
+                let leaf = EnvState::from_parts("Env".to_string(), ints, floats, Vec::new());
+                EnvState::from_parts("Wrapper".to_string(), vec![-1], Vec::new(), vec![leaf])
             })
     }
 
-    /// A checkpoint exercising every repr: tensors, nested env states,
-    /// optimizer slots, RNG words, f64 pairs, curves, events.
+    /// A checkpoint exercising every field: tensors, nested env states,
+    /// optimizer slots, RNG words, f64 scalars, curves, events. Scalar
+    /// fields hold fixed values; the strategy below randomises them.
     fn build_checkpoint(
-        seed: (u32, u32),
-        steps32: u32,
-        tensors: Vec<TensorRepr>,
-        envs: Vec<EnvStateRepr>,
-        scalars: Vec<(u32, u32)>,
-        lr: u32,
-        lr_scale: u32,
-        rollbacks: u32,
+        tensors: Vec<NamedTensor>,
+        envs: Vec<EnvState>,
+        scalar_bits: Vec<u64>,
     ) -> SearchCheckpoint {
-        let rng = vec![(1, 2), (3, 4), (5, 6), (7, 8)];
+        let rng = [1, u64::MAX, 3, 1 << 63];
+        let scalars: Vec<f64> = scalar_bits.into_iter().map(f64::from_bits).collect();
         let n_envs = envs.len();
         SearchCheckpoint {
-            version: SEARCH_CHECKPOINT_VERSION,
             fingerprint: "deadbeefdeadbeef".to_string(),
-            seed,
-            steps: u64::from(steps32),
-            iteration: u64::from(steps32) / 20,
-            next_eval: u64::from(steps32) + 500,
-            score_curve: vec![
-                CurvePointRepr { step: 100, bits: lr },
-                CurvePointRepr {
-                    step: 200,
-                    bits: lr_scale,
-                },
-            ],
-            entropy_curve: vec![CurvePointRepr { step: 100, bits: 7 }],
+            seed: 7,
+            steps: 300,
+            iteration: 15,
+            next_eval: 800,
+            score_curve: vec![(100, 0.5), (200, -0.0)],
+            entropy_curve: vec![(100, f32::from_bits(7))],
             weight_params: tensors.clone(),
             state_tensors: tensors,
-            supernet: SupernetStateRepr {
-                alpha: vec![vec![1, 2, 3], vec![4, 5, 6]],
-                gumbel_rng: rng.clone(),
-                step: u64::from(steps32),
+            supernet: SupernetSearchState {
+                alpha: vec![vec![1.0, -0.0, f32::NAN], vec![4.0, 5.0, 6.0]],
+                gumbel_rng: rng,
+                step: 300,
             },
-            weight_opt: OptimStateRepr {
+            weight_opt: OptimizerState {
                 kind: "rmsprop".to_string(),
-                lr,
-                key_names: vec!["w".to_string()],
-                key_shapes: vec![vec![2]],
-                slots: vec![vec![vec![9, 10]]],
+                lr: 0.01,
+                keys: vec![("w".to_string(), vec![2])],
+                slots: vec![vec![vec![9.0, 10.0]]],
                 scalars: Vec::new(),
             },
-            alpha_opt: OptimStateRepr {
+            alpha_opt: OptimizerState {
                 kind: "adam".to_string(),
-                lr,
-                key_names: Vec::new(),
-                key_shapes: Vec::new(),
+                lr: 0.01,
+                keys: Vec::new(),
                 slots: vec![Vec::new(), Vec::new()],
                 scalars: scalars.clone(),
             },
-            das: DasStateRepr {
+            das: DasState {
                 logits: vec![scalars],
-                rng: rng.clone(),
-                baseline: Some((11, 12)),
-                temperature: (13, 14),
+                rng,
+                baseline: Some(f64::from_bits((11 << 32) | 12)),
+                temperature: f64::from_bits((13 << 32) | 14),
             },
-            train_runner: RunnerStateRepr {
+            train_runner: RunnerState {
                 envs,
                 lane_rngs: vec![rng; n_envs],
-                current_obs: vec![vec![15, 16]; n_envs],
+                current_obs: vec![vec![15.0, f32::NEG_INFINITY]; n_envs],
             },
             val_runner: None,
-            lr_scale,
-            rollbacks_left: rollbacks,
+            lr_scale: 1.0,
+            rollbacks_left: 1,
             events: vec![RobustnessEvent {
                 iteration: 3,
                 kind: RobustnessEventKind::FaultInjected,
@@ -603,45 +271,46 @@ mod tests {
 
     fn checkpoint_strategy() -> impl Strategy<Value = SearchCheckpoint> {
         (
-            pair_strategy(),
-            any::<u32>(),
+            (any::<u64>(), any::<u64>()),
             prop::collection::vec(tensor_strategy(), 0..4),
             prop::collection::vec(env_strategy(), 1..4),
-            prop::collection::vec(pair_strategy(), 0..4),
+            prop::collection::vec(any::<u64>(), 0..4),
             (any::<u32>(), any::<u32>(), 0u32..10),
         )
-            .prop_map(|(seed, steps32, tensors, envs, scalars, (lr, scale, rb))| {
-                build_checkpoint(seed, steps32, tensors, envs, scalars, lr, scale, rb)
+            .prop_map(|((seed, steps), tensors, envs, scalars, (lr, scale, rb))| {
+                let mut ck = build_checkpoint(tensors, envs, scalars);
+                ck.seed = seed;
+                ck.steps = steps;
+                ck.weight_opt.lr = f32::from_bits(lr);
+                ck.score_curve.push((steps, f32::from_bits(lr)));
+                ck.lr_scale = f32::from_bits(scale);
+                ck.rollbacks_left = rb;
+                ck
             })
+    }
+
+    fn one_env(tag: &str) -> Vec<EnvState> {
+        vec![EnvState::from_parts(tag.to_string(), Vec::new(), Vec::new(), Vec::new())]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The full checkpoint — including extreme bit patterns for every
-        /// float and 64-bit field — survives JSON exactly.
-        #[test]
-        fn search_checkpoint_json_round_trip(ck in checkpoint_strategy()) {
-            let json = ck.to_json();
-            let back = SearchCheckpoint::from_json(&json);
-            prop_assert!(back.is_ok(), "{:?}", back.err());
-            let is_equal = back.ok() == Some(ck);
-            prop_assert!(is_equal, "checkpoint changed across the JSON round trip");
-        }
-
-        /// The binary frame round-trips the full checkpoint exactly —
-        /// arbitrary `u32` bit patterns cover NaN payloads, infinities and
-        /// negative zeros in every float-carrying field.
+        /// The binary payload round-trips the full checkpoint exactly —
+        /// arbitrary bit patterns cover NaN payloads, infinities and
+        /// negative zeros in every float-carrying field, and 64-bit words
+        /// above 2^53. The encoding writes every bit, so re-encoding the
+        /// decoded checkpoint reproduces the payload byte for byte.
         #[test]
         fn search_checkpoint_binary_round_trip(ck in checkpoint_strategy()) {
             let bytes = ck.to_bytes();
             let back = SearchCheckpoint::decode(&bytes);
             prop_assert!(back.is_ok(), "{:?}", back.err());
-            let is_equal = back.ok() == Some(ck);
+            let is_equal = back.ok().map(|b| b.to_bytes()) == Some(bytes);
             prop_assert!(is_equal, "checkpoint changed across the binary round trip");
         }
 
-        /// Truncating a binary frame at any point yields a parse error,
+        /// Truncating a binary payload at any point yields a parse error,
         /// never a panic.
         #[test]
         fn truncated_binary_checkpoint_is_a_parse_error(
@@ -653,104 +322,75 @@ mod tests {
             let err = SearchCheckpoint::decode(&bytes[..cut]);
             prop_assert!(matches!(err, Err(CheckpointError::Parse(_))), "{err:?}");
         }
-
-        /// 64-bit packing is lossless for every value, including those
-        /// above 2^53 where the vendored serde would silently round.
-        #[test]
-        fn u64_pair_round_trip(x in any::<u64>()) {
-            prop_assert_eq!(pair_u64(u64_pair(x)), x);
-        }
-
-        /// f64 packing preserves exact bits (NaN payloads included).
-        #[test]
-        fn f64_pair_round_trip(bits in any::<u64>()) {
-            let x = f64::from_bits(bits);
-            prop_assert_eq!(pair_f64(f64_pair(x)).to_bits(), bits);
-        }
     }
 
     #[test]
-    fn from_json_rejects_other_versions() {
-        let mut ck = build_checkpoint(
-            (1, 2),
-            300,
-            Vec::new(),
-            vec![EnvStateRepr {
-                tag: "Env".to_string(),
-                ints: Vec::new(),
-                floats: Vec::new(),
-                inner: Vec::new(),
-            }],
-            Vec::new(),
-            5,
-            6,
-            1,
-        );
-        ck.version = SEARCH_CHECKPOINT_VERSION + 1;
-        let err = SearchCheckpoint::from_json(&ck.to_json()).unwrap_err();
-        assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
-    }
-
-    #[test]
-    fn decode_reads_both_formats_including_nan_bits() {
+    fn decode_keeps_nan_bits_and_wide_words() {
         let nan_bits = f32::NAN.to_bits() | 0xdead; // a NaN with a payload
-        let ck = build_checkpoint(
-            (1, 2),
-            300,
-            vec![TensorRepr {
-                name: "w".to_string(),
-                shape: vec![2],
-                bits: vec![nan_bits, f32::NEG_INFINITY.to_bits()],
-            }],
-            vec![EnvStateRepr {
-                tag: "Env".to_string(),
-                ints: vec![(u32::MAX, 7)],
-                floats: vec![nan_bits],
-                inner: Vec::new(),
-            }],
-            vec![(nan_bits, nan_bits)],
-            nan_bits,
-            6,
-            1,
+        let env = EnvState::from_parts(
+            "Env".to_string(),
+            vec![i64::MIN, -7],
+            vec![f32::from_bits(nan_bits)],
+            Vec::new(),
         );
-        let from_json = SearchCheckpoint::decode(ck.to_json().as_bytes()).expect("json decodes");
-        let from_bin = SearchCheckpoint::decode(&ck.to_bytes()).expect("binary decodes");
-        assert_eq!(from_json, ck);
-        assert_eq!(from_bin, ck);
+        let tensor = NamedTensor {
+            name: "w".to_string(),
+            value: Tensor::from_vec(vec![f32::from_bits(nan_bits), f32::NEG_INFINITY], &[2])
+                .expect("shape"),
+        };
+        let mut ck = build_checkpoint(vec![tensor], vec![env], vec![u64::MAX]);
+        ck.seed = u64::MAX - 1;
+        ck.weight_opt.lr = f32::from_bits(nan_bits);
+        let back = SearchCheckpoint::decode(&ck.to_bytes()).expect("binary decodes");
+        assert_eq!(back.seed, u64::MAX - 1);
+        assert_eq!(back.weight_params[0].value.data()[0].to_bits(), nan_bits);
+        assert_eq!(back.train_runner.envs[0].ints(), &[i64::MIN, -7]);
+        assert_eq!(back.train_runner.envs[0].floats()[0].to_bits(), nan_bits);
+        assert_eq!(back.das.logits[0][0].to_bits(), u64::MAX);
+        assert_eq!(back.weight_opt.lr.to_bits(), nan_bits);
+        assert_eq!(back.to_bytes(), ck.to_bytes());
     }
 
     #[test]
-    fn decode_rejects_other_binary_versions() {
-        let mut ck = build_checkpoint(
-            (1, 2),
-            300,
-            Vec::new(),
-            vec![EnvStateRepr {
-                tag: "Env".to_string(),
-                ints: Vec::new(),
-                floats: Vec::new(),
-                inner: Vec::new(),
-            }],
-            Vec::new(),
-            5,
-            6,
-            1,
-        );
-        ck.version = SEARCH_CHECKPOINT_VERSION + 1;
-        let err = SearchCheckpoint::decode(&ck.to_bytes()).unwrap_err();
+    fn decode_rejects_other_versions() {
+        let mut bytes = build_checkpoint(Vec::new(), one_env("Env"), Vec::new()).to_bytes();
+        // The version word follows the 8-byte magic.
+        bytes[8..12].copy_from_slice(&(SEARCH_CHECKPOINT_VERSION + 1).to_le_bytes());
+        let err = SearchCheckpoint::decode(&bytes).unwrap_err();
         assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
     }
 
     #[test]
-    fn from_json_rejects_garbage() {
-        assert!(matches!(
-            SearchCheckpoint::from_json("not json"),
-            Err(CheckpointError::Parse(_))
-        ));
-        assert!(matches!(
-            SearchCheckpoint::from_json("{\"version\": 2}"),
-            Err(CheckpointError::Parse(_))
-        ));
+    fn decode_rejects_garbage() {
+        for garbage in [&b"not a checkpoint"[..], b"{\"version\": 2}", b""] {
+            assert!(matches!(
+                SearchCheckpoint::decode(garbage),
+                Err(CheckpointError::Parse(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn deeply_nested_env_states_are_a_parse_error_not_a_stack_overflow() {
+        // Splice 200,000 wrapper levels around the one leaf env state of a
+        // valid payload (~3.4 MB). Real states nest one level per wrapper.
+        let bytes = build_checkpoint(Vec::new(), one_env("X"), Vec::new()).to_bytes();
+        // tag "X", no ints, no floats, then the inner-list length.
+        let leaf_bytes = [1, 0, 0, 0, b'X', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        let at = bytes
+            .windows(leaf_bytes.len())
+            .position(|w| w == leaf_bytes)
+            .expect("the leaf env state is in the payload");
+        let mut wrapper = leaf_bytes;
+        wrapper[13] = 1; // one inner state
+        let mut nested = bytes[..at].to_vec();
+        for _ in 0..200_000 {
+            nested.extend_from_slice(&wrapper);
+        }
+        nested.extend_from_slice(&bytes[at..]);
+        assert!(nested.len() > 3_000_000);
+        let err = SearchCheckpoint::decode(&nested).unwrap_err();
+        assert!(matches!(err, CheckpointError::Parse(_)), "{err}");
     }
 
     #[test]

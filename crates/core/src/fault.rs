@@ -46,8 +46,8 @@ pub enum Fault {
     /// Arm a one-shot panic on the supervised thread pool at the start of
     /// the named phase: the next task a worker dequeues panics before
     /// running its closure. In a restartable region the pool contains it
-    /// (quarantine + re-execution); in a stateful region the phase
-    /// supervisor restores the phase-entry snapshot and retries.
+    /// (quarantine + re-execution); in a stateful region the supervisor
+    /// restores the iteration-entry snapshot and replays the iteration.
     WorkerPanic {
         /// Supervised phase (`"das_sweep"`, `"rollout"`, `"update"` or
         /// `"eval"`) in which to arm the panic.
@@ -480,41 +480,18 @@ mod io_faults {
     }
 }
 
-/// On-disk encoding of a search checkpoint payload (inside the checksummed
-/// envelope). Both formats are bit-safe; `recover()` detects either, so the
-/// knob can change between runs without invalidating old checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointFormat {
-    /// Human-readable JSON with every float stored as its raw bits (the
-    /// default, unchanged from PR 3).
-    #[default]
-    Json,
-    /// Length-prefixed little-endian binary framing — substantially smaller
-    /// for large supernets, still byte-exact (NaN payloads included).
-    Binary,
-}
-
 /// Durability knobs for the delta-checkpoint layer (DESIGN.md §17).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityConfig {
-    /// Write incremental delta frames between full base frames instead of
-    /// a full checkpoint every time. Off by default: solo runs keep the
-    /// PR 3 format unless opted in (the fleet opts in for every session).
-    pub delta: bool,
-    /// Per-frame compression codec.
-    pub codec: a3cs_drl::CheckpointCodec,
-    /// Maximum deltas per chain before the writer rolls a fresh base
-    /// inline, bounding recovery replay cost.
+    /// Maximum delta frames per chain before the writer rolls a fresh base
+    /// inline, bounding recovery replay cost. `0` writes every checkpoint
+    /// as a base frame.
     pub max_chain_len: usize,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
-        DurabilityConfig {
-            delta: false,
-            codec: a3cs_drl::CheckpointCodec::RleZero,
-            max_chain_len: 16,
-        }
+        DurabilityConfig { max_chain_len: 16 }
     }
 }
 
@@ -528,15 +505,14 @@ pub struct FaultConfig {
     /// off). `run_guarded` auto-resumes from the newest valid checkpoint
     /// found here.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Write (and, for the sentinel, capture) a checkpoint every this many
-    /// co-search iterations.
+    /// Persist a checkpoint every this many co-search iterations.
     pub checkpoint_every: u64,
     /// On-disk checkpoints to retain (older ones are pruned; keep ≥ 2 to
     /// survive corruption of the newest).
     pub keep: usize,
     /// Enable divergence sentinels: after backward and after each `θ`/`α`
     /// update, check loss and parameters for non-finite values and roll
-    /// back to the last good checkpoint when tripped.
+    /// back to the iteration-entry snapshot when tripped.
     pub sentinel: bool,
     /// How many rollbacks the sentinel may perform before degrading to
     /// skip-and-continue.
@@ -548,16 +524,14 @@ pub struct FaultConfig {
     pub lr_backoff: f32,
     /// Deterministic fault-injection schedule (empty: no faults).
     pub plan: FaultPlan,
-    /// Payload encoding for on-disk checkpoints (JSON by default; recovery
-    /// reads either format regardless of this knob).
-    pub format: CheckpointFormat,
-    /// Enable the supervision layer: phase-entry snapshots with bounded
-    /// retries, an isolation-mode thread pool (lane quarantine + chunk
-    /// re-execution + worker respawn), stall watchdogs and the degradation
-    /// ladder. Implied when the plan schedules a supervised fault.
+    /// Enable the supervision layer: bounded retries that replay a failed
+    /// iteration from its entry snapshot, an isolation-mode thread pool
+    /// (lane quarantine + chunk re-execution + worker respawn), stall
+    /// watchdogs and the degradation ladder. Implied when the plan
+    /// schedules a supervised fault.
     pub supervision: bool,
-    /// How many times a failed (panicked) phase is retried from its entry
-    /// snapshot before the run surfaces
+    /// How many times an iteration whose phase failed (panicked) is
+    /// replayed from its entry snapshot before the run surfaces
     /// [`crate::SearchError::RunAbort`].
     pub max_phase_retries: u32,
     /// Degradation ladder: after this many lane faults at the current
@@ -570,7 +544,7 @@ pub struct FaultConfig {
     /// Floor (in milliseconds) for the watchdog's soft deadline, so fast
     /// phases with sub-millisecond EWMAs don't trip on scheduler jitter.
     pub stall_min_ms: u64,
-    /// Delta-frame durability knobs (delta mode, codec, chain length).
+    /// Delta-frame durability knobs (chain length).
     pub durability: DurabilityConfig,
 }
 
@@ -584,7 +558,6 @@ impl Default for FaultConfig {
             max_rollbacks: 3,
             lr_backoff: 1.0,
             plan: FaultPlan::none(),
-            format: CheckpointFormat::Json,
             supervision: false,
             max_phase_retries: 2,
             ladder_fault_threshold: 4,
@@ -642,8 +615,7 @@ mod tests {
         assert_eq!(cfg.lr_backoff, 1.0);
         assert!(!cfg.supervision);
         assert!(!cfg.plan.has_supervised_fault());
-        assert_eq!(cfg.format, CheckpointFormat::Json);
-        assert!(!cfg.durability.delta, "delta frames are opt-in");
+        assert_eq!(cfg.durability.max_chain_len, 16);
     }
 
     #[test]

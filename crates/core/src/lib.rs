@@ -45,7 +45,7 @@ mod supervision;
 
 pub use checkpoint::{config_fingerprint, CheckpointError, SearchCheckpoint, SEARCH_CHECKPOINT_VERSION};
 pub use config::{CoSearchConfig, DeriveEngine, SearchScheme};
-pub use fault::{CheckpointFormat, DurabilityConfig, Fault, FaultConfig, FaultPlan};
+pub use fault::{DurabilityConfig, Fault, FaultConfig, FaultPlan};
 pub use pipeline::{per_op_costs, preflight, CoSearch, GuardedRun, SearchError, StepOutcome};
 pub use result::CoSearchResult;
 pub use robustness::{RobustnessEvent, RobustnessEventKind, RobustnessLog};

@@ -4,13 +4,10 @@
 //! [`crate::FaultConfig`]).
 
 use crate::checkpoint::{
-    apply_tensor_reprs, config_fingerprint, curve_to_repr, das_to_repr, optim_to_repr, pair_u64,
-    repr_to_curve, repr_to_das, repr_to_optim, repr_to_runner, repr_to_supernet, runner_to_repr,
-    supernet_to_repr, tensors_to_repr, u64_pair, CheckpointError, SearchCheckpoint,
-    SEARCH_CHECKPOINT_VERSION,
+    apply_tensors, capture_tensors, config_fingerprint, CheckpointError, SearchCheckpoint,
 };
 use crate::config::{CoSearchConfig, DeriveEngine, SearchScheme};
-use crate::fault::{CheckpointFormat, FaultDriver, FaultyIo};
+use crate::fault::{FaultDriver, FaultyIo};
 use crate::result::CoSearchResult;
 use crate::robustness::{RobustnessEventKind, RobustnessLog};
 use crate::supervision::Supervisor;
@@ -43,10 +40,10 @@ pub enum SearchError {
         /// Co-search iteration at which the simulated crash fired.
         iteration: u64,
     },
-    /// A supervised phase kept panicking past its retry budget (or its
-    /// entry snapshot failed to restore): the supervisor gave up on
-    /// in-process containment and surfaced the failure as a value instead
-    /// of a panic. `log` carries the full attempt history.
+    /// A supervised phase kept panicking past its retry budget: the
+    /// supervisor gave up on in-process containment and surfaced the
+    /// failure as a value instead of a panic. `log` carries the full
+    /// attempt history.
     RunAbort {
         /// Name of the supervised phase that exhausted its retries.
         phase: String,
@@ -301,26 +298,22 @@ impl CoSearch {
     /// Snapshot the complete loop state at an iteration boundary.
     fn capture_checkpoint(&self, st: &RunState) -> SearchCheckpoint {
         SearchCheckpoint {
-            version: SEARCH_CHECKPOINT_VERSION,
             fingerprint: config_fingerprint(&self.config),
-            seed: u64_pair(self.seed),
+            seed: self.seed,
             steps: st.steps,
             iteration: st.iteration,
             next_eval: st.next_eval,
-            score_curve: curve_to_repr(&st.score_curve),
-            entropy_curve: curve_to_repr(&st.alpha_entropy_curve),
-            weight_params: tensors_to_repr(&self.agent.params()),
-            state_tensors: tensors_to_repr(&self.agent.state()),
-            supernet: supernet_to_repr(&self.supernet.export_search_state()),
-            weight_opt: optim_to_repr(&st.weight_opt.export_state()),
-            alpha_opt: optim_to_repr(&st.alpha_opt.export_state()),
-            das: das_to_repr(&self.das.export_state()),
-            train_runner: runner_to_repr(&st.train_runner.export_state()),
-            val_runner: st
-                .val_runner
-                .as_ref()
-                .map(|r| runner_to_repr(&r.export_state())),
-            lr_scale: st.lr_scale.to_bits(),
+            score_curve: st.score_curve.clone(),
+            entropy_curve: st.alpha_entropy_curve.clone(),
+            weight_params: capture_tensors(&self.agent.params()),
+            state_tensors: capture_tensors(&self.agent.state()),
+            supernet: self.supernet.export_search_state(),
+            weight_opt: st.weight_opt.export_state(),
+            alpha_opt: st.alpha_opt.export_state(),
+            das: self.das.export_state(),
+            train_runner: st.train_runner.export_state(),
+            val_runner: st.val_runner.as_ref().map(RolloutRunner::export_state),
+            lr_scale: st.lr_scale,
             rollbacks_left: st.rollbacks_left,
             events: st.log.events.clone(),
         }
@@ -329,7 +322,7 @@ impl CoSearch {
     /// Restore the loop to a captured iteration boundary. On `Err` the
     /// search/run state may be partially overwritten — callers either
     /// rebuild from scratch (resume path) or know the checkpoint cannot
-    /// mismatch (in-memory rollback path).
+    /// mismatch (in-memory restore path).
     fn apply_checkpoint(
         &mut self,
         ck: &SearchCheckpoint,
@@ -342,11 +335,10 @@ impl CoSearch {
                 found: ck.fingerprint.clone(),
             });
         }
-        if pair_u64(ck.seed) != self.seed {
+        if ck.seed != self.seed {
             return Err(CheckpointError::Incompatible(format!(
                 "checkpoint seed {} vs this run's {}",
-                pair_u64(ck.seed),
-                self.seed
+                ck.seed, self.seed
             )));
         }
         if ck.val_runner.is_some() != st.val_runner.is_some() {
@@ -354,34 +346,34 @@ impl CoSearch {
                 "checkpoint and run disagree on the validation runner".to_string(),
             ));
         }
-        apply_tensor_reprs(&ck.weight_params, &self.agent.params(), "agent params")?;
-        apply_tensor_reprs(&ck.state_tensors, &self.agent.state(), "agent state")?;
+        apply_tensors(&ck.weight_params, &self.agent.params(), "agent params")?;
+        apply_tensors(&ck.state_tensors, &self.agent.state(), "agent state")?;
         self.supernet
-            .import_search_state(&repr_to_supernet(&ck.supernet)?)
+            .import_search_state(&ck.supernet)
             .map_err(|e| CheckpointError::Incompatible(format!("supernet state: {e:?}")))?;
         st.weight_opt
-            .import_state(&repr_to_optim(&ck.weight_opt)?)
+            .import_state(&ck.weight_opt)
             .map_err(|e| CheckpointError::Incompatible(format!("weight optimiser: {e}")))?;
         st.alpha_opt
-            .import_state(&repr_to_optim(&ck.alpha_opt)?)
+            .import_state(&ck.alpha_opt)
             .map_err(|e| CheckpointError::Incompatible(format!("alpha optimiser: {e}")))?;
         self.das
-            .import_state(&repr_to_das(&ck.das)?)
+            .import_state(&ck.das)
             .map_err(|e| CheckpointError::Incompatible(format!("DAS state: {e}")))?;
         st.train_runner
-            .import_state(&repr_to_runner(&ck.train_runner)?)
+            .import_state(&ck.train_runner)
             .map_err(|e| CheckpointError::Incompatible(format!("train runner: {e}")))?;
-        if let (Some(runner), Some(repr)) = (st.val_runner.as_mut(), ck.val_runner.as_ref()) {
+        if let (Some(runner), Some(state)) = (st.val_runner.as_mut(), ck.val_runner.as_ref()) {
             runner
-                .import_state(&repr_to_runner(repr)?)
+                .import_state(state)
                 .map_err(|e| CheckpointError::Incompatible(format!("validation runner: {e}")))?;
         }
         st.steps = ck.steps;
         st.iteration = ck.iteration;
         st.next_eval = ck.next_eval;
-        st.score_curve = repr_to_curve(&ck.score_curve);
-        st.alpha_entropy_curve = repr_to_curve(&ck.entropy_curve);
-        st.lr_scale = f32::from_bits(ck.lr_scale);
+        st.score_curve.clone_from(&ck.score_curve);
+        st.alpha_entropy_curve.clone_from(&ck.entropy_curve);
+        st.lr_scale = ck.lr_scale;
         st.rollbacks_left = ck.rollbacks_left;
         st.log = RobustnessLog {
             events: ck.events.clone(),
@@ -391,133 +383,65 @@ impl CoSearch {
 
     /// Run `f` as one supervised phase (see `DESIGN.md` §12).
     ///
-    /// Without a supervisor this is a plain call. With one, the phase-entry
-    /// state is snapshotted, the phase runs under the supervisor's
-    /// isolation-mode pool with the stall watchdog armed, and a panic
-    /// anywhere inside the phase restores the snapshot and retries —
-    /// bounded by `max_phase_retries` — before surfacing
-    /// [`SearchError::RunAbort`]. The snapshot restore is exact (PR 3's
-    /// checkpoint machinery), so a retry that succeeds replays the same
-    /// trajectory a fault-free run would have taken, bit for bit.
+    /// Without a supervisor this is a plain call. With one, the phase runs
+    /// under the supervisor's isolation-mode pool, with any worker panic or
+    /// stall the plan schedules for it armed and the stall watchdog
+    /// running. A panic anywhere inside the phase comes back as a
+    /// [`PhaseFailure`]: [`GuardedRun::step`] then restores the
+    /// iteration-entry snapshot and replays the iteration.
     fn supervised<T>(
         &mut self,
         st: &mut RunState,
         driver: &mut FaultDriver,
         sup: &mut Option<Supervisor>,
         phase: &'static str,
-        f: impl Fn(&mut Self, &mut RunState, &mut FaultDriver) -> T,
-    ) -> Result<T, SearchError> {
+        f: impl FnOnce(&mut Self, &mut RunState, &mut FaultDriver) -> T,
+    ) -> Result<T, PhaseFailure> {
         let Some(sup) = sup.as_mut() else {
             return Ok(f(self, st, driver));
         };
-        let snapshot = self.capture_checkpoint(st);
-        let mut attempts: u32 = 0;
-        loop {
-            if driver.worker_panic_now(phase, st.iteration) {
-                st.log.push(
-                    st.iteration,
-                    RobustnessEventKind::FaultInjected,
-                    format!("worker panic armed during {phase}"),
-                );
-                sup.pool.arm_worker_panic();
-            }
-            let stall_ms = driver.stall_now(phase, st.iteration);
-            sup.watchdog.arm(phase, st.iteration, sup.deadline(phase));
-            // a3cs::allow(wall-clock): feeds only the watchdog's EWMA
-            // deadline (observe-only); never touches loop state or results.
-            let started = Instant::now();
-            if let Some(millis) = stall_ms {
-                st.log.push(
-                    st.iteration,
-                    RobustnessEventKind::FaultInjected,
-                    format!("{phase} stalled for {millis} ms"),
-                );
-                std::thread::sleep(std::time::Duration::from_millis(millis));
-            }
-            let pool = Arc::clone(&sup.pool);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                threadpool::with_pool(pool, || {
-                    if attempts == 0 {
-                        f(&mut *self, st, driver)
-                    } else {
-                        // Tag every record a retry produces with its attempt
-                        // number; the first execution stays untagged so
-                        // fault-free traces are byte-identical to before.
-                        telemetry::with_retry(Some(attempts), || f(&mut *self, st, driver))
-                    }
-                })
-            }));
-            sup.watchdog.disarm();
-            sup.timings.record(phase, started.elapsed());
-            for stall in sup.watchdog.drain_stalls() {
-                st.log.push(
-                    stall.iteration,
-                    RobustnessEventKind::PhaseStalled,
-                    format!(
-                        "{} overran its soft deadline of {} ms",
-                        stall.phase, stall.deadline_ms
-                    ),
-                );
-            }
-            sup.absorb_pool_health(&mut st.log, st.iteration);
-            match outcome {
-                Ok(value) => return Ok(value),
-                Err(payload) => {
-                    attempts += 1;
-                    st.log.push(
-                        st.iteration,
-                        RobustnessEventKind::PhaseFailed,
-                        format!(
-                            "{phase} attempt {attempts} panicked: {}",
-                            panic_message(payload.as_ref())
-                        ),
-                    );
-                    // Restore the phase-entry snapshot. The log is monotone
-                    // and must survive the restore.
-                    let events = std::mem::take(&mut st.log.events);
-                    let restored = self.apply_checkpoint(&snapshot, st);
-                    st.log.events = events;
-                    if let Err(e) = restored {
-                        st.log.push(
-                            st.iteration,
-                            RobustnessEventKind::RetriesExhausted,
-                            format!("{phase} entry snapshot failed to restore: {e}"),
-                        );
-                        return Err(SearchError::RunAbort {
-                            phase: phase.to_string(),
-                            iteration: st.iteration,
-                            attempts,
-                            log: st.log.clone(),
-                        });
-                    }
-                    if attempts > sup.max_retries {
-                        st.log.push(
-                            st.iteration,
-                            RobustnessEventKind::RetriesExhausted,
-                            format!(
-                                "{phase} panicked {attempts} time(s), retry budget {}",
-                                sup.max_retries
-                            ),
-                        );
-                        return Err(SearchError::RunAbort {
-                            phase: phase.to_string(),
-                            iteration: st.iteration,
-                            attempts,
-                            log: st.log.clone(),
-                        });
-                    }
-                    st.log.push(
-                        st.iteration,
-                        RobustnessEventKind::PhaseRetried,
-                        format!(
-                            "{phase} retrying from its entry snapshot (attempt {} of {})",
-                            attempts + 1,
-                            sup.max_retries + 1
-                        ),
-                    );
-                }
-            }
+        if driver.worker_panic_now(phase, st.iteration) {
+            st.log.push(
+                st.iteration,
+                RobustnessEventKind::FaultInjected,
+                format!("worker panic armed during {phase}"),
+            );
+            sup.pool.arm_worker_panic();
         }
+        let stall_ms = driver.stall_now(phase, st.iteration);
+        sup.watchdog.arm(phase, st.iteration, sup.deadline(phase));
+        // a3cs::allow(wall-clock): feeds only the watchdog's EWMA
+        // deadline (observe-only); never touches loop state or results.
+        let started = Instant::now();
+        if let Some(millis) = stall_ms {
+            st.log.push(
+                st.iteration,
+                RobustnessEventKind::FaultInjected,
+                format!("{phase} stalled for {millis} ms"),
+            );
+            std::thread::sleep(std::time::Duration::from_millis(millis));
+        }
+        let pool = Arc::clone(&sup.pool);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            threadpool::with_pool(pool, || f(&mut *self, st, driver))
+        }));
+        sup.watchdog.disarm();
+        sup.timings.record(phase, started.elapsed());
+        for stall in sup.watchdog.drain_stalls() {
+            st.log.push(
+                stall.iteration,
+                RobustnessEventKind::PhaseStalled,
+                format!(
+                    "{} overran its soft deadline of {} ms",
+                    stall.phase, stall.deadline_ms
+                ),
+            );
+        }
+        sup.absorb_pool_health(&mut st.log, st.iteration);
+        outcome.map_err(|payload| PhaseFailure {
+            phase,
+            message: panic_message(payload.as_ref()),
+        })
     }
 
     /// Run the full co-search (Alg. 1) against environments from
@@ -557,10 +481,10 @@ impl CoSearch {
     /// `config.fault.checkpoint_dir`, periodic atomic checkpoint writes,
     /// divergence sentinels with bounded rollback, deterministic fault
     /// injection, and (when `config.fault.supervision` is set or the plan
-    /// schedules an in-process fault) supervised execution: phase retries
-    /// from entry snapshots, lane quarantine with deterministic chunk
-    /// re-execution, stall watchdogs and the degradation ladder. Every
-    /// robustness action taken is recorded in
+    /// schedules an in-process fault) supervised execution: iteration
+    /// replays from the entry snapshot, lane quarantine with deterministic
+    /// chunk re-execution, stall watchdogs and the degradation ladder.
+    /// Every robustness action taken is recorded in
     /// [`CoSearchResult::robustness`].
     ///
     /// With the default [`crate::FaultConfig`] this is exactly `run`.
@@ -643,16 +567,12 @@ impl CoSearch {
         let mut restore_count: u64 = 0;
         let mut quarantined: u64 = 0;
 
-        // --- auto-resume from the newest valid on-disk checkpoint. In
-        // delta mode the chain-aware recovery replays base + deltas with
-        // end-to-end verification; a scrub afterwards quarantines whatever
+        // --- auto-resume from the newest valid on-disk checkpoint. One walk
+        // over the store replays every chain (base + deltas, verified end to
+        // end), returns the newest verified tip, and quarantines whatever
         // failed so the next resume starts from a clean store.
         if let Some(store) = &store {
-            let recovery = if cfg.fault.durability.delta {
-                store.recover_checkpoint()
-            } else {
-                store.recover()
-            };
+            let recovery = store.recover_and_scrub(&mut StdIo);
             for diagnostic in &recovery.skipped {
                 st.log.push(
                     0,
@@ -667,14 +587,11 @@ impl CoSearch {
                     diagnostic.clone(),
                 );
             }
-            if cfg.fault.durability.delta {
-                let scrubbed = store.scrub(&mut StdIo);
-                telemetry::CHECKPOINT_SCRUB_RUNS.add(1);
-                telemetry::CHECKPOINT_SCRUB_QUARANTINED.add(scrubbed.quarantined.len() as u64);
-                quarantined += scrubbed.quarantined.len() as u64;
-                for entry in &scrubbed.quarantined {
-                    st.log.push(0, RobustnessEventKind::CheckpointQuarantined, entry.clone());
-                }
+            quarantined = recovery.quarantined.len() as u64;
+            telemetry::CHECKPOINT_SCRUB_RUNS.add(1);
+            telemetry::CHECKPOINT_SCRUB_QUARANTINED.add(quarantined);
+            for entry in &recovery.quarantined {
+                st.log.push(0, RobustnessEventKind::CheckpointQuarantined, entry.clone());
             }
             if let Some((iter, payload)) = recovery.checkpoint {
                 let outcome = SearchCheckpoint::decode(&payload).and_then(|ck| {
@@ -749,7 +666,6 @@ impl CoSearch {
             weight_params,
             alpha_params,
             schedule,
-            last_good: None,
             bytes_written: 0,
             restore_count,
             chain: None,
@@ -793,7 +709,6 @@ pub struct GuardedRun {
     weight_params: Vec<Param>,
     alpha_params: Vec<Param>,
     schedule: LrSchedule,
-    last_good: Option<SearchCheckpoint>,
     bytes_written: u64,
     restore_count: u64,
     /// Open delta chain: the last payload persisted this run, which the
@@ -817,11 +732,25 @@ struct ChainState {
     position: u32,
 }
 
+/// A supervised phase that panicked; the iteration replays from its entry.
+struct PhaseFailure {
+    phase: &'static str,
+    message: String,
+}
+
 impl GuardedRun {
     /// Run one co-search iteration, or conclude that the budget is spent.
     ///
-    /// A divergence rollback counts as a step: state rewinds to the last
-    /// good checkpoint and [`StepOutcome::Ran`] is returned without the
+    /// The iteration starts by capturing at most one [`SearchCheckpoint`]
+    /// — only when the store persists this boundary, or the sentinel or
+    /// supervision is on. That snapshot is the persisted payload, the
+    /// divergence-rollback target and the retry point: a supervised phase
+    /// that panics restores it and replays the whole iteration, which is
+    /// bit-identical because execution is deterministic and injected faults
+    /// fire once.
+    ///
+    /// A divergence rollback counts as a step: state rewinds to the
+    /// iteration entry and [`StepOutcome::Ran`] is returned without the
     /// iteration counter advancing — exactly the `continue` of the driven
     /// loop.
     ///
@@ -863,125 +792,82 @@ impl GuardedRun {
         // never influence it (see DESIGN.md §11).
         let _iteration_span = telemetry::span!("iteration", self.st.iteration);
 
-        // --- checkpoint boundary: persist and/or arm the rollback.
-        if (self.store.is_some() || self.cfg.fault.sentinel)
-            && self.st.iteration % self.checkpoint_every == 0
-        {
+        // --- iteration entry: the one snapshot, captured only when it will
+        // be persisted, rolled back to, or retried from.
+        let persist =
+            self.store.is_some() && self.st.iteration.is_multiple_of(self.checkpoint_every);
+        let entry = if persist || self.cfg.fault.sentinel || self.sup.is_some() {
             let _span = telemetry::span!("checkpoint_io");
             let ck = search.capture_checkpoint(&self.st);
-            if let Some(store) = &self.store {
-                let payload = match self.cfg.fault.format {
-                    CheckpointFormat::Json => ck.to_json().into_bytes(),
-                    CheckpointFormat::Binary => ck.to_bytes(),
-                };
-                telemetry::CHECKPOINT_BYTES.add(payload.len() as u64);
-                telemetry::CHECKPOINT_BYTES_HIST.record(payload.len() as u64);
-                // Any injected I/O fault armed for this iteration fails the
-                // write *inside* the durable path, exercising exactly the
-                // code a real disk error would.
-                let armed = self.driver.io_fault_now(self.st.iteration);
-                if let Some(mode) = armed {
-                    self.st.log.push(
-                        self.st.iteration,
-                        RobustnessEventKind::FaultInjected,
-                        mode.describe(),
-                    );
-                }
-                let mut io = FaultyIo::new(armed);
-                let durability = self.cfg.fault.durability;
-                let written = if !durability.delta {
-                    store
-                        .write_with(&mut io, self.st.iteration, &payload)
-                        .map(|path| (path, payload.len() as u64, false))
-                } else if let Some(chain) = self
-                    .chain
-                    .as_ref()
-                    .filter(|c| (c.position as usize) < durability.max_chain_len)
-                {
-                    let frame = encode_delta_frame(
-                        &chain.parent_payload,
-                        &payload,
-                        chain.chain_id,
-                        chain.position + 1,
-                        chain.parent_iteration,
-                        durability.codec,
-                    );
-                    store
-                        .write_delta_frame(&mut io, self.st.iteration, &frame)
-                        .map(|(path, sealed)| (path, sealed, true))
-                } else {
-                    if self.chain.take().is_some() {
-                        // Inline base roll at max_chain_len: bounds the
-                        // replay cost. Routine, so it bumps the compaction
-                        // counter without a robustness event.
-                        telemetry::CHECKPOINT_COMPACTIONS.add(1);
-                    }
-                    let frame = encode_base_frame(&payload, durability.codec);
-                    store
-                        .write_base_frame(&mut io, self.st.iteration, &frame)
-                        .map(|(path, sealed)| (path, sealed, false))
-                };
-                match written {
-                    Ok((path, on_disk, was_delta)) => {
-                        telemetry::CHECKPOINT_BYTES_WRITTEN.add(on_disk);
-                        self.bytes_written += on_disk;
-                        self.logical_bytes += payload.len() as u64;
-                        if durability.delta {
-                            if was_delta {
-                                telemetry::CHECKPOINT_DELTA_FRAMES.add(1);
-                                telemetry::CHECKPOINT_DELTA_BYTES.add(on_disk);
-                                self.delta_frames += 1;
-                                let chain = match self.chain.as_mut() {
-                                    Some(chain) => chain,
-                                    None => unreachable!("a delta write implies an open chain"),
-                                };
-                                chain.parent_payload = payload;
-                                chain.parent_iteration = self.st.iteration;
-                                chain.position += 1;
-                            } else {
-                                let chain_id = fnv1a64(&payload);
-                                self.chain = Some(ChainState {
-                                    parent_payload: payload,
-                                    parent_iteration: self.st.iteration,
-                                    chain_id,
-                                    position: 0,
-                                });
-                            }
-                            if self.bytes_written > 0 {
-                                telemetry::CHECKPOINT_COMPRESSION_RATIO.set(
-                                    self.logical_bytes as f64 / self.bytes_written as f64,
-                                );
-                            }
-                        }
-                        for applied in
-                            self.driver.corrupt_checkpoint_now(self.st.iteration, &path)
-                        {
-                            self.st.log.push(
-                                self.st.iteration,
-                                RobustnessEventKind::FaultInjected,
-                                applied,
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        // A failed write leaves the on-disk chain state
-                        // unknown: force a fresh base at the next boundary
-                        // instead of chaining off a parent that may never
-                        // have landed.
-                        self.chain = None;
-                        self.st.log.push(
-                            self.st.iteration,
-                            RobustnessEventKind::CheckpointWriteFailed,
-                            e.to_string(),
-                        );
-                    }
-                }
+            if persist {
+                self.persist(&ck);
             }
-            if self.cfg.fault.sentinel {
-                self.last_good = Some(ck);
-            }
-        }
+            Some(ck)
+        } else {
+            None
+        };
 
+        let mut attempt: u32 = 0;
+        loop {
+            // Records a replay produces carry its attempt number; the first
+            // execution stays untagged so fault-free traces are unchanged.
+            let retry = (attempt > 0).then_some(attempt);
+            let outcome = telemetry::with_retry(retry, || {
+                self.iterate(search, factory, teacher, entry.as_ref())
+            });
+            let failure = match outcome {
+                Ok(outcome) => return Ok(outcome),
+                Err(failure) => failure,
+            };
+            let (Some(entry), Some(sup)) = (entry.as_ref(), self.sup.as_ref()) else {
+                unreachable!("only a supervised phase fails, and supervision captures the entry")
+            };
+            let max_retries = sup.max_retries;
+            let (phase, failed_at) = (failure.phase, self.st.iteration);
+            attempt += 1;
+            self.st.log.push(
+                failed_at,
+                RobustnessEventKind::PhaseFailed,
+                format!("{phase} attempt {attempt} panicked: {}", failure.message),
+            );
+            self.restore(search, entry);
+            if attempt > max_retries {
+                self.st.log.push(
+                    failed_at,
+                    RobustnessEventKind::RetriesExhausted,
+                    format!("{phase} panicked {attempt} time(s), retry budget {max_retries}"),
+                );
+                return Err(SearchError::RunAbort {
+                    phase: phase.to_string(),
+                    iteration: failed_at,
+                    attempts: attempt,
+                    log: self.st.log.clone(),
+                });
+            }
+            self.st.log.push(
+                failed_at,
+                RobustnessEventKind::PhaseRetried,
+                format!(
+                    "{phase} failed; replaying iteration {} from its entry (attempt {} of {})",
+                    entry.iteration(),
+                    attempt + 1,
+                    max_retries + 1
+                ),
+            );
+        }
+    }
+
+    /// One pass over the iteration body (Alg. 1): the φ update, the
+    /// rollout, the (θ, α) update behind the divergence sentinel, and the
+    /// periodic evaluation. A supervised phase that panics ends the pass
+    /// with its [`PhaseFailure`].
+    fn iterate(
+        &mut self,
+        search: &mut CoSearch,
+        factory: &EnvFactory<'_>,
+        teacher: Option<&ActorCritic>,
+        entry: Option<&SearchCheckpoint>,
+    ) -> Result<StepOutcome, PhaseFailure> {
         search.supernet.set_step(self.st.steps);
 
         // --- φ update (Eq. 5/9) on the current most-likely network.
@@ -1001,136 +887,132 @@ impl GuardedRun {
 
         // --- rollout + L_task.
         let use_val =
-            matches!(self.cfg.scheme, SearchScheme::BiLevel) && self.st.iteration % 2 != 0;
+            matches!(self.cfg.scheme, SearchScheme::BiLevel) && !self.st.iteration.is_multiple_of(2);
         let (update_weights, update_alpha) = match self.cfg.scheme {
             SearchScheme::BiLevel => (!use_val, use_val),
             _ => (true, true),
         };
-        let rollout =
-            search.supervised(&mut self.st, &mut self.driver, &mut self.sup, "rollout", |s, st, driver| {
-                    if let Some(lane) = driver.env_panic_now(st.iteration) {
-                        st.log.push(
-                            st.iteration,
-                            RobustnessEventKind::FaultInjected,
-                            format!("environment lane {lane} poisoned to panic"),
-                        );
-                        let armed = if use_val {
-                            st.val_runner.as_ref()
-                        } else {
-                            Some(&st.train_runner)
-                        };
-                        if let Some(runner) = armed {
-                            runner.arm_panic(lane);
-                        }
-                    }
-                    let runner = if use_val {
-                        match st.val_runner.as_mut() {
-                            Some(runner) => runner,
-                            None => unreachable!("bilevel scheme constructs a validation runner"),
-                        }
+        let rollout = search.supervised(
+            &mut self.st,
+            &mut self.driver,
+            &mut self.sup,
+            "rollout",
+            |s, st, driver| {
+                if let Some(lane) = driver.env_panic_now(st.iteration) {
+                    st.log.push(
+                        st.iteration,
+                        RobustnessEventKind::FaultInjected,
+                        format!("environment lane {lane} poisoned to panic"),
+                    );
+                    let armed = if use_val {
+                        st.val_runner.as_ref()
                     } else {
-                        &mut st.train_runner
+                        Some(&st.train_runner)
                     };
-                    let rollout = runner.collect(&s.agent, s.config.rollout_len);
-                    st.steps += rollout.transitions() as u64;
-                    rollout
-                })?;
+                    if let Some(runner) = armed {
+                        runner.arm_panic(lane);
+                    }
+                }
+                let runner = if use_val {
+                    match st.val_runner.as_mut() {
+                        Some(runner) => runner,
+                        None => unreachable!("bilevel scheme constructs a validation runner"),
+                    }
+                } else {
+                    &mut st.train_runner
+                };
+                let rollout = runner.collect(&s.agent, s.config.rollout_len);
+                st.steps += rollout.transitions() as u64;
+                rollout
+            },
+        )?;
 
-            // --- the update: loss + backward + both optimizers, one
-            // supervised unit. The cost gradient (Eq. 8) accumulates into
-            // the α grads, which are not checkpointed — so the whole
-            // grad-producing + grad-consuming sequence must retry together.
-            let cfg = &self.cfg;
-            let distill = &self.distill;
-            let weight_params = &self.weight_params;
-            let alpha_params = &self.alpha_params;
-            let schedule = &self.schedule;
-            let tripped =
-                search.supervised(&mut self.st, &mut self.driver, &mut self.sup, "update", |s, st, driver| {
-                    let loss_span = telemetry::span!("loss_backward");
-                    let tape = Tape::new();
-                    s.agent.zero_grad();
-                    s.supernet.arch().zero_grad();
-                    let (mut loss, _stats) =
-                        a2c_losses(&tape, &s.agent, &rollout, &cfg.a2c, &distill, teacher);
-                    if driver.nan_loss_now(st.iteration) {
+        // --- the update: loss + backward + both optimizers.
+        let cfg = &self.cfg;
+        let distill = &self.distill;
+        let weight_params = &self.weight_params;
+        let alpha_params = &self.alpha_params;
+        let schedule = &self.schedule;
+        let tripped = search.supervised(
+            &mut self.st,
+            &mut self.driver,
+            &mut self.sup,
+            "update",
+            |s, st, driver| {
+                let loss_span = telemetry::span!("loss_backward");
+                let tape = Tape::new();
+                s.agent.zero_grad();
+                s.supernet.arch().zero_grad();
+                let (mut loss, _stats) =
+                    a2c_losses(&tape, &s.agent, &rollout, &cfg.a2c, distill, teacher);
+                if driver.nan_loss_now(st.iteration) {
+                    st.log.push(
+                        st.iteration,
+                        RobustnessEventKind::FaultInjected,
+                        "loss poisoned with NaN",
+                    );
+                    loss = loss.scale(f32::NAN);
+                }
+
+                // --- divergence sentinel: a non-finite loss is caught
+                // before it can touch the parameters; a non-finite
+                // parameter right after the updates that produced it.
+                let mut tripped: Option<String> = None;
+                if cfg.fault.sentinel {
+                    let value = loss.value().item();
+                    if !value.is_finite() {
                         st.log.push(
                             st.iteration,
-                            RobustnessEventKind::FaultInjected,
-                            "loss poisoned with NaN",
+                            RobustnessEventKind::NonFiniteLoss,
+                            format!("loss = {value}"),
                         );
-                        loss = loss.scale(f32::NAN);
+                        tripped = Some(format!("non-finite loss {value}"));
                     }
-
-                    // --- divergence sentinel: a non-finite loss is caught
-                    // before it can touch the parameters; a non-finite
-                    // parameter right after the updates that produced it.
-                    let mut tripped: Option<String> = None;
+                }
+                if tripped.is_none() {
+                    loss.backward();
+                }
+                drop(loss_span);
+                if tripped.is_none() {
+                    let _span = telemetry::span!("optimizer_step");
+                    if update_alpha {
+                        // --- λ·L_cost gradient on the activated ops (Eq. 8).
+                        let sampled = s.supernet.last_sampled_indices();
+                        s.apply_cost_gradient(&sampled);
+                        st.alpha_opt.set_lr(cfg.alpha_lr * st.lr_scale);
+                        st.alpha_opt.step(alpha_params);
+                    }
+                    if update_weights {
+                        let _ = clip_grad_norm(weight_params, cfg.max_grad_norm);
+                        st.weight_opt.set_lr(schedule.at(st.steps) * st.lr_scale);
+                        st.weight_opt.step(weight_params);
+                    }
                     if cfg.fault.sentinel {
-                        let value = loss.value().item();
-                        if !value.is_finite() {
+                        let bad = first_non_finite(weight_params, "agent")
+                            .or_else(|| first_non_finite(alpha_params, "alpha"));
+                        if let Some(bad) = bad {
                             st.log.push(
                                 st.iteration,
-                                RobustnessEventKind::NonFiniteLoss,
-                                format!("loss = {value}"),
+                                RobustnessEventKind::NonFiniteParam,
+                                bad.clone(),
                             );
-                            tripped = Some(format!("non-finite loss {value}"));
+                            tripped = Some(bad);
                         }
                     }
-                    if tripped.is_none() {
-                        loss.backward();
-                    }
-                    drop(loss_span);
-                    if tripped.is_none() {
-                        let _span = telemetry::span!("optimizer_step");
-                        if update_alpha {
-                            // --- λ·L_cost gradient on the activated ops (Eq. 8).
-                            let sampled = s.supernet.last_sampled_indices();
-                            s.apply_cost_gradient(&sampled);
-                            st.alpha_opt.set_lr(cfg.alpha_lr * st.lr_scale);
-                            st.alpha_opt.step(&alpha_params);
-                        }
-                        if update_weights {
-                            let _ = clip_grad_norm(&weight_params, cfg.max_grad_norm);
-                            st.weight_opt.set_lr(schedule.at(st.steps) * st.lr_scale);
-                            st.weight_opt.step(&weight_params);
-                        }
-                        if cfg.fault.sentinel {
-                            let bad = first_non_finite(&weight_params, "agent")
-                                .or_else(|| first_non_finite(&alpha_params, "alpha"));
-                            if let Some(bad) = bad {
-                                st.log.push(
-                                    st.iteration,
-                                    RobustnessEventKind::NonFiniteParam,
-                                    bad.clone(),
-                                );
-                                tripped = Some(bad);
-                            }
-                        }
-                    }
-                    tripped
-                })?;
+                }
+                tripped
+            },
+        )?;
         if let Some(reason) = tripped {
-            if let Some(good) = self.last_good.clone() {
-                if self.st.rollbacks_left > 0 {
-                    // Monotone fields survive the restore: the log, the
-                    // decayed lr and the spent budget must not rewind.
-                    let events = std::mem::take(&mut self.st.log.events);
-                    let lr_scale = self.st.lr_scale * cfg.fault.lr_backoff;
-                    let rollbacks_left = self.st.rollbacks_left - 1;
+            match entry {
+                Some(good) if self.st.rollbacks_left > 0 => {
                     let tripped_at = self.st.iteration;
-                    match search.apply_checkpoint(&good, &mut self.st) {
-                        Ok(()) => {}
-                        Err(e) => {
-                            unreachable!("checkpoint captured this run always applies: {e}")
-                        }
-                    }
-                    self.st.log.events = events;
-                    self.st.lr_scale = lr_scale;
-                    self.st.rollbacks_left = rollbacks_left;
-                    // The rewound state may re-checkpoint at iterations the
+                    self.st.lr_scale *= self.cfg.fault.lr_backoff;
+                    self.st.rollbacks_left -= 1;
+                    self.restore(search, good);
+                    // The replayed iteration re-checkpoints a boundary the
                     // open chain already covers: roll a fresh base instead
-                    // of writing conflicting deltas.
+                    // of writing a conflicting delta.
                     self.chain = None;
                     telemetry::ROLLBACK_COUNT.add(1);
                     telemetry::CHECKPOINT_RESTORES.add(1);
@@ -1141,22 +1023,21 @@ impl GuardedRun {
                         format!(
                             "to iteration {} after {reason} ({} rollbacks left)",
                             good.iteration(),
-                            rollbacks_left
+                            self.st.rollbacks_left
                         ),
                     );
                     return Ok(StepOutcome::Ran);
                 }
-                self.st.log.push(
+                Some(_) => self.st.log.push(
                     self.st.iteration,
                     RobustnessEventKind::RollbackBudgetExhausted,
                     format!("update skipped after {reason}"),
-                );
-            } else {
-                self.st.log.push(
+                ),
+                None => self.st.log.push(
                     self.st.iteration,
                     RobustnessEventKind::NoCheckpointToRollBackTo,
                     format!("update skipped after {reason}"),
-                );
+                ),
             }
         }
         self.st.iteration += 1;
@@ -1192,6 +1073,120 @@ impl GuardedRun {
         } else {
             StepOutcome::Ran
         })
+    }
+
+    /// Rewind the loop to `entry`, this iteration's entry snapshot: the one
+    /// restore path for phase retries and divergence rollbacks alike. The
+    /// event log is monotone and survives the restore. So do the lr scale
+    /// and the rollback budget: a rollback updates them just before it
+    /// restores, and a phase retry finds them unchanged since entry.
+    fn restore(&mut self, search: &mut CoSearch, entry: &SearchCheckpoint) {
+        let events = std::mem::take(&mut self.st.log.events);
+        let (lr_scale, rollbacks_left) = (self.st.lr_scale, self.st.rollbacks_left);
+        if let Err(e) = search.apply_checkpoint(entry, &mut self.st) {
+            unreachable!("a snapshot captured by this run always applies: {e}");
+        }
+        self.st.log.events = events;
+        self.st.lr_scale = lr_scale;
+        self.st.rollbacks_left = rollbacks_left;
+        // A failed eval phase may have left path sampling switched off.
+        search.supernet.set_eval_sampling(true);
+    }
+
+    /// Persist `ck` as this iteration's checkpoint: a delta frame against
+    /// the open chain's tip, or a base frame that opens a new chain when
+    /// none is open or the open one reached `max_chain_len`. A failed
+    /// write is logged and closes the chain; it never fails the run.
+    fn persist(&mut self, ck: &SearchCheckpoint) {
+        let Some(store) = &self.store else {
+            return;
+        };
+        let iteration = self.st.iteration;
+        let payload = ck.to_bytes();
+        let logical = payload.len() as u64;
+        telemetry::CHECKPOINT_BYTES.add(logical);
+        telemetry::CHECKPOINT_BYTES_HIST.record(logical);
+        // Any injected I/O fault armed for this iteration fails the write
+        // *inside* the durable path, exercising exactly the code a real
+        // disk error would.
+        let armed = self.driver.io_fault_now(iteration);
+        if let Some(mode) = armed {
+            self.st
+                .log
+                .push(iteration, RobustnessEventKind::FaultInjected, mode.describe());
+        }
+        let mut io = FaultyIo::new(armed);
+        let max_chain_len = self.cfg.fault.durability.max_chain_len;
+        let written = match self
+            .chain
+            .as_ref()
+            .filter(|c| (c.position as usize) < max_chain_len)
+        {
+            Some(chain) => {
+                let link = (chain.chain_id, chain.position + 1);
+                let frame = encode_delta_frame(
+                    &chain.parent_payload,
+                    &payload,
+                    link.0,
+                    link.1,
+                    chain.parent_iteration,
+                );
+                store
+                    .write_delta_frame(&mut io, iteration, &frame)
+                    .map(|written| (written, Some(link)))
+            }
+            None => {
+                if self.chain.take().is_some() {
+                    // Inline base roll at max_chain_len: bounds the replay
+                    // cost. Routine, so it bumps the compaction counter
+                    // without a robustness event.
+                    telemetry::CHECKPOINT_COMPACTIONS.add(1);
+                }
+                store
+                    .write_base_frame(&mut io, iteration, &encode_base_frame(&payload))
+                    .map(|written| (written, None))
+            }
+        };
+        match written {
+            Ok(((path, on_disk), link)) => {
+                telemetry::CHECKPOINT_BYTES_WRITTEN.add(on_disk);
+                self.bytes_written += on_disk;
+                self.logical_bytes += logical;
+                telemetry::CHECKPOINT_COMPRESSION_RATIO
+                    .set(self.logical_bytes as f64 / self.bytes_written as f64);
+                let (chain_id, position) = match link {
+                    Some(link) => {
+                        telemetry::CHECKPOINT_DELTA_FRAMES.add(1);
+                        telemetry::CHECKPOINT_DELTA_BYTES.add(on_disk);
+                        self.delta_frames += 1;
+                        link
+                    }
+                    None => (fnv1a64(&payload), 0),
+                };
+                self.chain = (max_chain_len > 0).then_some(ChainState {
+                    parent_payload: payload,
+                    parent_iteration: iteration,
+                    chain_id,
+                    position,
+                });
+                for applied in self.driver.corrupt_checkpoint_now(iteration, &path) {
+                    self.st
+                        .log
+                        .push(iteration, RobustnessEventKind::FaultInjected, applied);
+                }
+            }
+            Err(e) => {
+                // A failed write leaves the on-disk chain state unknown:
+                // force a fresh base at the next boundary instead of
+                // chaining off a parent that may never have landed.
+                self.chain = None;
+                self.st.log.push(
+                    iteration,
+                    RobustnessEventKind::CheckpointWriteFailed,
+                    e.to_string(),
+                );
+            }
+        }
     }
 
     /// Derive the final architecture/accelerator pair and assemble the
@@ -1308,7 +1303,7 @@ impl GuardedRun {
     }
 
     /// Delta frames this run persisted (the `checkpoint.delta_frames`
-    /// metric). Zero unless [`crate::DurabilityConfig::delta`] is on.
+    /// metric). Zero when [`crate::DurabilityConfig::max_chain_len`] is 0.
     #[must_use]
     pub fn checkpoint_delta_frames(&self) -> u64 {
         self.delta_frames

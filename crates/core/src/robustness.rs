@@ -25,7 +25,7 @@ pub enum RobustnessEventKind {
     NonFiniteLoss,
     /// The divergence sentinel saw a non-finite parameter after an update.
     NonFiniteParam,
-    /// The loop state was rolled back to the last good checkpoint.
+    /// The loop state was rolled back to the iteration-entry snapshot.
     RolledBack,
     /// A sentinel tripped but the rollback budget was exhausted; the
     /// offending update was skipped and the run continued degraded.
@@ -35,9 +35,11 @@ pub enum RobustnessEventKind {
     NoCheckpointToRollBackTo,
     /// A configured fault from the injection plan fired.
     FaultInjected,
-    /// A supervised phase panicked; its entry snapshot was restored.
+    /// A supervised phase panicked; the iteration-entry snapshot was
+    /// restored.
     PhaseFailed,
-    /// A failed phase was retried from its entry snapshot.
+    /// The iteration of a failed phase was replayed from its entry
+    /// snapshot.
     PhaseRetried,
     /// A failed phase exhausted its retry budget; the run surfaced
     /// [`crate::SearchError::RunAbort`].

@@ -192,7 +192,8 @@ impl ActorCritic {
 /// all zero; falls back to argmax on degenerate rows).
 pub(crate) fn sample_index(weights: &[f32], rng: &mut StdRng) -> usize {
     let total: f32 = weights.iter().sum();
-    if !(total > 0.0) || !total.is_finite() {
+    // NaN is not finite, so this also rejects a NaN total.
+    if !total.is_finite() || total <= 0.0 {
         // Degenerate distribution: be deterministic (first maximum) rather
         // than panic.
         let mut best = 0;

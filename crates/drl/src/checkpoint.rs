@@ -5,15 +5,12 @@
 //!
 //! The harnesses use [`Checkpoint`] to train a teacher once and reuse it
 //! across experiments, mirroring how the paper pretrains one ResNet-20
-//! teacher per task. The co-search loop's fault-tolerance layer builds its
-//! resumable search checkpoints on [`write_atomic`], [`seal_envelope`] /
-//! [`unseal_envelope`] and [`CheckpointStore`].
+//! teacher per task. The co-search loop's fault-tolerance layer persists
+//! its resumable search checkpoints as frame chains in a
+//! [`CheckpointStore`], sealed by [`seal_envelope_bytes`].
 
 use crate::agent::ActorCritic;
-use crate::frame::{
-    apply_delta_frame, decode_base_frame, encode_base_frame, is_frame, CheckpointCodec,
-    CheckpointIo, StdIo,
-};
+use crate::frame::{apply_delta_frame, decode_base_frame, CheckpointIo, StdIo};
 use a3cs_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -120,16 +117,6 @@ impl From<std::io::Error> for SaveCheckpointError {
 ///
 /// Returns any filesystem error encountered; the temporary file is removed
 /// on failure when possible.
-pub fn write_atomic(path: &Path, contents: &str) -> Result<(), std::io::Error> {
-    write_atomic_bytes(path, contents.as_bytes())
-}
-
-/// [`write_atomic`] for binary contents.
-///
-/// # Errors
-///
-/// Returns any filesystem error encountered; the temporary file is removed
-/// on failure when possible.
 pub fn write_atomic_bytes(path: &Path, contents: &[u8]) -> Result<(), std::io::Error> {
     write_atomic_bytes_with(&mut StdIo, path, contents)
 }
@@ -137,7 +124,8 @@ pub fn write_atomic_bytes(path: &Path, contents: &[u8]) -> Result<(), std::io::E
 /// [`write_atomic_bytes`] through an explicit [`CheckpointIo`], so tests
 /// can fail the write, short-write it, or tear the rename deterministically.
 /// Cleanup of the temporary file is best-effort — a torn rename can leave
-/// it behind, which is exactly what [`CheckpointStore::scrub`] quarantines.
+/// it behind, which is exactly what [`CheckpointStore::recover_and_scrub`]
+/// quarantines.
 ///
 /// # Errors
 ///
@@ -180,19 +168,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Magic/version prefix of the checkpoint envelope header line.
 const ENVELOPE_MAGIC: &str = "A3CS-CKPT v2";
 
-/// Wrap `payload` in the checkpoint envelope: a single header line
-/// `A3CS-CKPT v2 fnv1a=<16 hex digits>` followed by the payload verbatim.
-/// [`unseal_envelope`] verifies the checksum over the payload bytes.
-#[must_use]
-pub fn seal_envelope(payload: &str) -> String {
-    format!(
-        "{ENVELOPE_MAGIC} fnv1a={:016x}\n{payload}",
-        fnv1a64(payload.as_bytes())
-    )
-}
-
-/// [`seal_envelope`] for binary payloads: the same ASCII header line
-/// followed by the payload bytes verbatim.
+/// Wrap `payload` in the checkpoint envelope: a single ASCII header line
+/// `A3CS-CKPT v2 fnv1a=<16 hex digits>` followed by the payload bytes
+/// verbatim. [`unseal_envelope_bytes`] verifies the checksum over them.
 #[must_use]
 pub fn seal_envelope_bytes(payload: &[u8]) -> Vec<u8> {
     let mut sealed = format!("{ENVELOPE_MAGIC} fnv1a={:016x}\n", fnv1a64(payload)).into_bytes();
@@ -236,23 +214,8 @@ impl fmt::Display for EnvelopeError {
 
 impl Error for EnvelopeError {}
 
-/// Verify and strip the envelope added by [`seal_envelope`], returning the
-/// payload.
-///
-/// # Errors
-///
-/// [`EnvelopeError`] when the header is malformed or the checksum does not
-/// match the payload.
-pub fn unseal_envelope(text: &str) -> Result<&str, EnvelopeError> {
-    let payload = unseal_envelope_bytes(text.as_bytes())?;
-    // The header split happens at an ASCII newline, so the payload is a
-    // char-boundary suffix of the UTF-8 input.
-    std::str::from_utf8(payload).map_err(|_| EnvelopeError::Malformed {
-        detail: "payload is not UTF-8".to_string(),
-    })
-}
-
-/// [`unseal_envelope`] for binary payloads.
+/// Verify and strip the envelope added by [`seal_envelope_bytes`],
+/// returning the payload.
 ///
 /// # Errors
 ///
@@ -292,61 +255,56 @@ pub fn unseal_envelope_bytes(bytes: &[u8]) -> Result<&[u8], EnvelopeError> {
     Ok(payload)
 }
 
-/// A rotating directory of sealed checkpoints: `ckpt-<iteration>.json`
-/// files written atomically, pruned to the most recent `keep`, and read
-/// back newest-first with automatic fallback past corrupt or truncated
-/// files.
+/// A rotating directory of sealed checkpoint chains: base frames as
+/// `ckpt-<iteration>.json`, delta frames as `ckpt-<iteration>.delta`, all
+/// written atomically, pruned to the chains of the newest `keep` bases, and
+/// read back newest-first with automatic fallback past corrupt frames.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
     keep: usize,
 }
 
-/// Outcome of [`CheckpointStore::recover`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Recovery {
-    /// `(iteration, payload)` of the newest checkpoint that verified, if
-    /// any did. Payloads are opaque bytes — the producer decides the
-    /// format (JSON or a binary frame).
-    pub checkpoint: Option<(u64, Vec<u8>)>,
-    /// One human-readable diagnostic per file that was skipped (unreadable,
-    /// malformed, or failed its checksum), newest first.
-    pub skipped: Vec<String>,
-    /// Diagnostics from delta-chain replay: each entry records a delta
-    /// frame that failed verification, forcing recovery to stop at the
-    /// verified chain prefix (or fall back to an older base). Only
-    /// populated by [`CheckpointStore::recover_checkpoint`].
-    pub fallbacks: Vec<String>,
-}
-
-/// Outcome of [`CheckpointStore::scrub`]: what was examined and what was
-/// quarantined. Nothing is ever deleted — broken frames are renamed with a
-/// `.bad` suffix so a human (or a later forensic pass) can inspect them.
+/// Outcome of [`CheckpointStore::recover_and_scrub`]: what was recovered,
+/// what recovery had to step past, and what was quarantined.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ScrubReport {
-    /// Number of base frames (chains) examined.
-    pub chains: usize,
-    /// Total frames examined: bases, deltas, and stray temporary files.
-    pub frames: usize,
+pub struct Recovery {
+    /// `(iteration, payload)` of the newest chain tip that verified end to
+    /// end, if any did. Payloads are opaque bytes to the store.
+    pub checkpoint: Option<(u64, Vec<u8>)>,
+    /// One human-readable diagnostic per base newer than the recovered one
+    /// that had to be skipped (unreadable, malformed, or failed its
+    /// checksum), newest first.
+    pub skipped: Vec<String>,
+    /// The delta frame of the recovered chain that failed verification,
+    /// if any, forcing recovery to stop at the verified chain prefix.
+    pub fallbacks: Vec<String>,
     /// Original paths of every file quarantined (renamed to `<name>.bad`),
-    /// with a reason, formatted `"<path>: <reason>"`.
+    /// with a reason, formatted `"<path>: <reason>"`. Nothing is ever
+    /// deleted, so a human (or a later forensic pass) can inspect them.
     pub quarantined: Vec<String>,
 }
 
-/// Outcome of [`CheckpointStore::compact`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompactReport {
-    /// Chains folded into a fresh base.
-    pub folded_chains: usize,
-    /// Delta frames removed after their content was folded into a base.
-    /// Removal (not quarantine) is legitimate here: the bytes live on in
-    /// the new base, verified before anything is touched.
-    pub removed_frames: usize,
+/// Rename `path` to `<name>.bad`, recording it in `quarantined` when the
+/// rename succeeds.
+fn quarantine(
+    io: &mut dyn CheckpointIo,
+    path: &Path,
+    reason: &str,
+    quarantined: &mut Vec<String>,
+) {
+    let mut bad = path
+        .file_name()
+        .map_or_else(|| std::ffi::OsString::from("frame"), ToOwned::to_owned);
+    bad.push(".bad");
+    if io.rename(path, &path.with_file_name(bad)).is_ok() {
+        quarantined.push(format!("{}: {reason}", path.display()));
+    }
 }
 
 impl CheckpointStore {
-    /// A store rooted at `dir`, retaining the newest `keep` checkpoints
-    /// (clamped to at least 1).
+    /// A store rooted at `dir`, retaining the chains of the newest `keep`
+    /// base frames (clamped to at least 1).
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>, keep: usize) -> Self {
         CheckpointStore {
@@ -361,83 +319,10 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// Path of the checkpoint for `iteration`.
+    /// Path of the base frame for `iteration`.
     #[must_use]
     pub fn path_for(&self, iteration: u64) -> PathBuf {
         self.dir.join(format!("ckpt-{iteration:012}.json"))
-    }
-
-    /// Seal `payload` and write it atomically as the checkpoint for
-    /// `iteration`, then prune files beyond the newest `keep`.
-    ///
-    /// # Errors
-    ///
-    /// Returns any filesystem error from creating the directory or writing
-    /// the file. Pruning failures are ignored — stale files cost disk, not
-    /// correctness.
-    #[must_use = "the Result reports failure and must be checked"]
-    pub fn write(&self, iteration: u64, payload: &[u8]) -> Result<PathBuf, std::io::Error> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.path_for(iteration);
-        write_atomic_bytes(&path, &seal_envelope_bytes(payload))?;
-        let files = self.candidates();
-        for (_, stale) in files.iter().skip(self.keep) {
-            fs::remove_file(stale).ok();
-        }
-        Ok(path)
-    }
-
-    /// All checkpoint files currently in the store as `(iteration, path)`,
-    /// newest first. Files whose names do not parse are ignored.
-    #[must_use]
-    pub fn candidates(&self) -> Vec<(u64, PathBuf)> {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut files: Vec<(u64, PathBuf)> = entries
-            .filter_map(Result::ok)
-            .filter_map(|e| {
-                let path = e.path();
-                let name = path.file_name()?.to_str()?;
-                let iter = name.strip_prefix("ckpt-")?.strip_suffix(".json")?;
-                Some((iter.parse::<u64>().ok()?, path))
-            })
-            .collect();
-        files.sort_by(|a, b| b.0.cmp(&a.0));
-        files
-    }
-
-    /// Find the newest checkpoint that reads back and passes its checksum,
-    /// collecting a diagnostic for every newer file that had to be skipped.
-    /// Never panics: corruption, truncation and unreadable files all
-    /// degrade to fallback.
-    #[must_use]
-    pub fn recover(&self) -> Recovery {
-        let mut skipped = Vec::new();
-        for (iteration, path) in self.candidates() {
-            let bytes = match fs::read(&path) {
-                Ok(b) => b,
-                Err(e) => {
-                    skipped.push(format!("{}: unreadable: {e}", path.display()));
-                    continue;
-                }
-            };
-            match unseal_envelope_bytes(&bytes) {
-                Ok(payload) => {
-                    return Recovery {
-                        checkpoint: Some((iteration, payload.to_vec())),
-                        skipped,
-                        fallbacks: Vec::new(),
-                    };
-                }
-                Err(e) => skipped.push(format!("{}: {e}", path.display())),
-            }
-        }
-        Recovery {
-            checkpoint: None,
-            skipped,
-            fallbacks: Vec::new(),
-        }
     }
 
     /// Path of the delta frame for `iteration`.
@@ -446,24 +331,39 @@ impl CheckpointStore {
         self.dir.join(format!("ckpt-{iteration:012}.delta"))
     }
 
-    /// [`CheckpointStore::write`] through an explicit [`CheckpointIo`].
-    ///
-    /// # Errors
-    ///
-    /// Returns any filesystem error from creating the directory or writing
-    /// the file.
-    #[must_use = "the Result reports failure and must be checked"]
-    pub fn write_with(
-        &self,
-        io: &mut dyn CheckpointIo,
-        iteration: u64,
-        payload: &[u8],
-    ) -> Result<PathBuf, std::io::Error> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.path_for(iteration);
-        write_atomic_bytes_with(io, &path, &seal_envelope_bytes(payload))?;
-        self.prune_chains();
-        Ok(path)
+    /// Files named `ckpt-<iteration>.<ext>` as `(iteration, path)`, oldest
+    /// first. Files whose names do not parse are ignored.
+    fn files_with_ext(&self, ext: &str) -> Vec<(u64, PathBuf)> {
+        let Ok(entries) = fs::read_dir(&self.dir) else {
+            return Vec::new();
+        };
+        let mut files: Vec<(u64, PathBuf)> = entries
+            .filter_map(Result::ok)
+            .filter_map(|e| {
+                let path = e.path();
+                let name = path.file_name()?.to_str()?;
+                let iter = name.strip_prefix("ckpt-")?.strip_suffix(ext)?;
+                Some((iter.parse::<u64>().ok()?, path))
+            })
+            .collect();
+        files.sort_by_key(|&(iter, _)| iter);
+        files
+    }
+
+    /// All base frames currently in the store as `(iteration, path)`,
+    /// **newest first** (recovery order).
+    #[must_use]
+    pub fn candidates(&self) -> Vec<(u64, PathBuf)> {
+        let mut files = self.files_with_ext(".json");
+        files.reverse();
+        files
+    }
+
+    /// All delta frames currently in the store as `(iteration, path)`,
+    /// **oldest first** (replay order).
+    #[must_use]
+    pub fn delta_candidates(&self) -> Vec<(u64, PathBuf)> {
+        self.files_with_ext(".delta")
     }
 
     /// Seal `frame` (an encoded base frame) and write it atomically as the
@@ -473,7 +373,8 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Returns any filesystem error from creating the directory or writing
-    /// the file. Pruning failures are ignored.
+    /// the file. Pruning failures are ignored — stale files cost disk, not
+    /// correctness.
     #[must_use = "the Result reports failure and must be checked"]
     pub fn write_base_frame(
         &self,
@@ -481,13 +382,9 @@ impl CheckpointStore {
         iteration: u64,
         frame: &[u8],
     ) -> Result<(PathBuf, u64), std::io::Error> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.path_for(iteration);
-        let sealed = seal_envelope_bytes(frame);
-        write_atomic_bytes_with(io, &path, &sealed)?;
+        let written = self.write_sealed(io, self.path_for(iteration), frame)?;
         self.prune_chains();
-        // a3cs::allow(lossy-cast): usize → u64 widens, a frame length is exact
-        Ok((path, sealed.len() as u64))
+        Ok(written)
     }
 
     /// Seal `frame` (an encoded delta frame) and write it atomically as
@@ -505,8 +402,16 @@ impl CheckpointStore {
         iteration: u64,
         frame: &[u8],
     ) -> Result<(PathBuf, u64), std::io::Error> {
+        self.write_sealed(io, self.delta_path_for(iteration), frame)
+    }
+
+    fn write_sealed(
+        &self,
+        io: &mut dyn CheckpointIo,
+        path: PathBuf,
+        frame: &[u8],
+    ) -> Result<(PathBuf, u64), std::io::Error> {
         fs::create_dir_all(&self.dir)?;
-        let path = self.delta_path_for(iteration);
         let sealed = seal_envelope_bytes(frame);
         write_atomic_bytes_with(io, &path, &sealed)?;
         // a3cs::allow(lossy-cast): usize → u64 widens, a frame length is exact
@@ -522,8 +427,7 @@ impl CheckpointStore {
         let Some(&(cutoff, _)) = bases.get(self.keep - 1).or(bases.last()) else {
             return;
         };
-        for (iter, stale) in bases.iter().skip(self.keep) {
-            debug_assert!(*iter < cutoff || bases.len() <= self.keep);
+        for (_, stale) in bases.iter().skip(self.keep) {
             fs::remove_file(stale).ok();
         }
         for (iter, stale) in self.delta_candidates() {
@@ -531,27 +435,6 @@ impl CheckpointStore {
                 fs::remove_file(stale).ok();
             }
         }
-    }
-
-    /// All delta frames currently in the store as `(iteration, path)`,
-    /// **oldest first** (replay order). Files whose names do not parse are
-    /// ignored.
-    #[must_use]
-    pub fn delta_candidates(&self) -> Vec<(u64, PathBuf)> {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut files: Vec<(u64, PathBuf)> = entries
-            .filter_map(Result::ok)
-            .filter_map(|e| {
-                let path = e.path();
-                let name = path.file_name()?.to_str()?;
-                let iter = name.strip_prefix("ckpt-")?.strip_suffix(".delta")?;
-                Some((iter.parse::<u64>().ok()?, path))
-            })
-            .collect();
-        files.sort_by(|a, b| a.0.cmp(&b.0));
-        files
     }
 
     /// Read and verify one sealed frame file, returning the frame bytes.
@@ -562,58 +445,59 @@ impl CheckpointStore {
             .map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// The deltas attributed to the base at `base_iter`, given the bases
-    /// newest-first and all deltas oldest-first: every delta strictly newer
-    /// than the base and strictly older than the next newer base.
-    fn deltas_for<'d>(
-        base_iter: u64,
-        next_base_iter: Option<u64>,
-        deltas: &'d [(u64, PathBuf)],
-    ) -> impl Iterator<Item = &'d (u64, PathBuf)> {
-        deltas.iter().filter(move |(i, _)| {
-            *i > base_iter && next_base_iter.is_none_or(|nb| *i < nb)
-        })
-    }
-
-    /// Find the newest checkpoint payload that verifies end-to-end,
-    /// replaying delta chains: for each base newest-first, decode the base
-    /// frame and apply its attributed deltas in order, verifying chain id,
-    /// position, parent checksum and target checksum at every link. A
-    /// failed link stops the replay at the verified prefix (recorded in
-    /// [`Recovery::fallbacks`]); a failed base falls back to the next older
-    /// one (recorded in [`Recovery::skipped`]). Legacy payloads (not
-    /// frame-encoded) pass through verbatim. Never panics.
-    #[must_use]
-    pub fn recover_checkpoint(&self) -> Recovery {
-        let mut skipped = Vec::new();
-        let mut fallbacks = Vec::new();
+    /// Recover the newest checkpoint payload that verifies end to end, and
+    /// quarantine every frame that does not — in one walk over the store.
+    ///
+    /// Bases are walked newest-first. Each base is decoded and its deltas
+    /// (every delta strictly newer than it and strictly older than the next
+    /// newer base) replayed in order, verifying chain id, position, parent
+    /// checksum and target checksum at every link. The first base that
+    /// decodes is the recovery: its replay stops at the verified prefix (a
+    /// broken link is recorded in [`Recovery::fallbacks`]), and every newer
+    /// base that failed is recorded in [`Recovery::skipped`]. Older chains
+    /// are verified too, so one walk quarantines broken bases (with their
+    /// now-unreachable deltas), the first broken link of each chain plus
+    /// everything downstream of it, orphan deltas older than the oldest
+    /// base, and stray `.tmp` files left by torn renames. Quarantine renames
+    /// the file to `<name>.bad` — nothing is deleted, so no scrub bug can
+    /// destroy the last good copy of anything. Never panics.
+    #[must_use = "the recovery lists what was skipped and quarantined, which must be surfaced"]
+    pub fn recover_and_scrub(&self, io: &mut dyn CheckpointIo) -> Recovery {
+        let mut recovery = Recovery::default();
         let bases = self.candidates();
         let deltas = self.delta_candidates();
         for (idx, (base_iter, base_path)) in bases.iter().enumerate() {
-            let frame = match Self::read_sealed(base_path) {
-                Ok(f) => f,
+            let next_base = idx.checked_sub(1).map(|i| bases[i].0);
+            let chain_deltas = deltas
+                .iter()
+                .filter(|(i, _)| *i > *base_iter && next_base.is_none_or(|nb| *i < nb));
+            let base = Self::read_sealed(base_path).and_then(|frame| {
+                decode_base_frame(&frame).map_err(|e| format!("{}: {e}", base_path.display()))
+            });
+            let mut current = match base {
+                Ok(payload) => payload,
                 Err(e) => {
-                    skipped.push(e);
+                    if recovery.checkpoint.is_none() {
+                        recovery.skipped.push(e.clone());
+                    }
+                    quarantine(io, base_path, &e, &mut recovery.quarantined);
+                    for (_, d_path) in chain_deltas {
+                        quarantine(io, d_path, "chain base quarantined", &mut recovery.quarantined);
+                    }
                     continue;
                 }
             };
-            let base_payload = if is_frame(&frame) {
-                match decode_base_frame(&frame) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        skipped.push(format!("{}: {e}", base_path.display()));
-                        continue;
-                    }
-                }
-            } else {
-                frame // legacy raw payload: the envelope already verified it
-            };
-            let chain_id = fnv1a64(&base_payload);
-            let next_base = idx.checked_sub(1).map(|i| bases[i].0);
-            let mut current = base_payload;
-            let mut current_iter = *base_iter;
+            let recovering = recovery.checkpoint.is_none();
+            let chain_id = fnv1a64(&current);
+            let mut tip = *base_iter;
             let mut position = 1u32;
-            for (d_iter, d_path) in Self::deltas_for(*base_iter, next_base, &deltas) {
+            let mut broken = false;
+            for (d_iter, d_path) in chain_deltas {
+                if broken {
+                    let reason = "downstream of a quarantined delta";
+                    quarantine(io, d_path, reason, &mut recovery.quarantined);
+                    continue;
+                }
                 let applied = Self::read_sealed(d_path).and_then(|f| {
                     apply_delta_frame(&f, &current, chain_id, position)
                         .map_err(|e| format!("{}: {e}", d_path.display()))
@@ -621,195 +505,41 @@ impl CheckpointStore {
                 match applied {
                     Ok(target) => {
                         current = target;
-                        current_iter = *d_iter;
+                        tip = *d_iter;
                         position += 1;
                     }
                     Err(e) => {
                         // Later deltas in this chain cannot verify either;
-                        // resume from the longest verified prefix.
-                        fallbacks.push(e);
-                        break;
-                    }
-                }
-            }
-            return Recovery {
-                checkpoint: Some((current_iter, current)),
-                skipped,
-                fallbacks,
-            };
-        }
-        Recovery {
-            checkpoint: None,
-            skipped,
-            fallbacks,
-        }
-    }
-
-    /// Validate every chain on disk and quarantine what fails: broken base
-    /// frames (and their now-unreachable deltas), the first broken link of
-    /// each chain plus everything downstream of it, orphan deltas older
-    /// than the oldest base, and stray `.tmp` files left by torn renames.
-    /// Quarantine renames the file to `<name>.bad` — nothing is deleted,
-    /// so no scrub bug can destroy the last good copy of anything.
-    #[must_use = "the report says what was quarantined and must be surfaced"]
-    pub fn scrub(&self, io: &mut dyn CheckpointIo) -> ScrubReport {
-        let mut report = ScrubReport::default();
-        let mut quarantine = |io: &mut dyn CheckpointIo, path: &Path, reason: &str| {
-            let mut bad = path.file_name().map_or_else(
-                || std::ffi::OsString::from("frame"),
-                ToOwned::to_owned,
-            );
-            bad.push(".bad");
-            if io.rename(path, &path.with_file_name(bad)).is_ok() {
-                report.quarantined.push(format!("{}: {reason}", path.display()));
-            }
-        };
-        let bases = self.candidates();
-        let deltas = self.delta_candidates();
-        report.chains = bases.len();
-        report.frames = bases.len() + deltas.len();
-        for (idx, (base_iter, base_path)) in bases.iter().enumerate() {
-            let next_base = idx.checked_sub(1).map(|i| bases[i].0);
-            let chain_deltas: Vec<&(u64, PathBuf)> =
-                Self::deltas_for(*base_iter, next_base, &deltas).collect();
-            let base_payload = Self::read_sealed(base_path).and_then(|frame| {
-                if is_frame(&frame) {
-                    decode_base_frame(&frame)
-                        .map_err(|e| format!("{}: {e}", base_path.display()))
-                } else {
-                    Ok(frame)
-                }
-            });
-            let mut current = match base_payload {
-                Ok(p) => p,
-                Err(e) => {
-                    quarantine(io, base_path, &e);
-                    for (_, d_path) in chain_deltas {
-                        quarantine(io, d_path, "chain base quarantined");
-                    }
-                    continue;
-                }
-            };
-            let chain_id = fnv1a64(&current);
-            let mut position = 1u32;
-            let mut broken = false;
-            for (_, d_path) in chain_deltas {
-                if broken {
-                    quarantine(io, d_path, "downstream of a quarantined delta");
-                    continue;
-                }
-                let applied = Self::read_sealed(d_path).and_then(|f| {
-                    apply_delta_frame(&f, &current, chain_id, position)
-                        .map_err(|e| format!("{}: {e}", d_path.display()))
-                });
-                match applied {
-                    Ok(target) => {
-                        current = target;
-                        position += 1;
-                    }
-                    Err(e) => {
-                        quarantine(io, d_path, &e);
+                        // recovery resumes from the longest verified prefix.
+                        if recovering {
+                            recovery.fallbacks.push(e.clone());
+                        }
+                        quarantine(io, d_path, &e, &mut recovery.quarantined);
                         broken = true;
                     }
                 }
             }
+            if recovering {
+                recovery.checkpoint = Some((tip, current));
+            }
         }
         // Orphan deltas older than the oldest base can never replay.
-        if let Some(&(oldest_base, _)) = bases.last() {
-            for (d_iter, d_path) in &deltas {
-                if *d_iter <= oldest_base {
-                    quarantine(io, d_path, "orphan delta with no base");
-                }
-            }
-        } else {
-            for (_, d_path) in &deltas {
-                quarantine(io, d_path, "orphan delta with no base");
+        let oldest_base = bases.last().map(|&(iter, _)| iter);
+        for (d_iter, d_path) in &deltas {
+            if oldest_base.is_none_or(|oldest| *d_iter <= oldest) {
+                quarantine(io, d_path, "orphan delta with no base", &mut recovery.quarantined);
             }
         }
         // Stray temporaries are evidence of a torn rename.
         if let Ok(entries) = fs::read_dir(&self.dir) {
             for path in entries.filter_map(Result::ok).map(|e| e.path()) {
                 if path.extension().is_some_and(|e| e == "tmp") {
-                    report.frames += 1;
-                    quarantine(io, &path, "stray temporary from a torn rename");
+                    let reason = "stray temporary from a torn rename";
+                    quarantine(io, &path, reason, &mut recovery.quarantined);
                 }
             }
         }
-        report
-    }
-
-    /// Fold every chain with more than `max_chain_len` deltas into a fresh
-    /// base frame at the chain tip's iteration (encoded with `codec`), then
-    /// remove the folded deltas — their content lives on in the new base,
-    /// which is written and verified before anything is removed. Chains
-    /// that fail verification are left untouched (that is [`Self::scrub`]'s
-    /// job).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first filesystem error from writing a new base; removal
-    /// failures are ignored (stale frames cost disk, not correctness).
-    #[must_use = "the Result reports failure and must be checked"]
-    pub fn compact(
-        &self,
-        io: &mut dyn CheckpointIo,
-        max_chain_len: usize,
-        codec: CheckpointCodec,
-    ) -> Result<CompactReport, std::io::Error> {
-        let mut report = CompactReport::default();
-        let bases = self.candidates();
-        let deltas = self.delta_candidates();
-        for (idx, (base_iter, base_path)) in bases.iter().enumerate() {
-            let next_base = idx.checked_sub(1).map(|i| bases[i].0);
-            let chain_deltas: Vec<&(u64, PathBuf)> =
-                Self::deltas_for(*base_iter, next_base, &deltas).collect();
-            if chain_deltas.len() <= max_chain_len {
-                continue;
-            }
-            let Ok(frame) = Self::read_sealed(base_path) else {
-                continue;
-            };
-            let mut current = if is_frame(&frame) {
-                match decode_base_frame(&frame) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                }
-            } else {
-                frame
-            };
-            let chain_id = fnv1a64(&current);
-            let mut tip_iter = *base_iter;
-            let mut position = 1u32;
-            let mut verified = true;
-            for (d_iter, d_path) in &chain_deltas {
-                let applied = Self::read_sealed(d_path)
-                    .ok()
-                    .and_then(|f| apply_delta_frame(&f, &current, chain_id, position).ok());
-                match applied {
-                    Some(target) => {
-                        current = target;
-                        tip_iter = *d_iter;
-                        position += 1;
-                    }
-                    None => {
-                        verified = false;
-                        break;
-                    }
-                }
-            }
-            if !verified {
-                continue;
-            }
-            let (_, _) =
-                self.write_base_frame(io, tip_iter, &encode_base_frame(&current, codec))?;
-            report.folded_chains += 1;
-            for (_, d_path) in chain_deltas {
-                if io.remove_file(d_path).is_ok() {
-                    report.removed_frames += 1;
-                }
-            }
-        }
-        Ok(report)
+        recovery
     }
 }
 
@@ -854,7 +584,7 @@ impl Checkpoint {
     #[must_use = "the Result reports failure and must be checked"]
     pub fn save(&self, path: &Path) -> Result<(), SaveCheckpointError> {
         let json = serde_json::to_string(self).map_err(SaveCheckpointError::Serialize)?;
-        write_atomic(path, &json)?;
+        write_atomic_bytes(path, json.as_bytes())?;
         Ok(())
     }
 
@@ -913,6 +643,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{encode_base_frame, encode_delta_frame};
     use a3cs_nn::vanilla;
 
     fn agent(seed: u64) -> ActorCritic {
@@ -968,34 +699,35 @@ mod tests {
 
     #[test]
     fn envelope_round_trip_and_rejection() {
-        let payload = r#"{"hello": [1, 2, 3]}"#;
-        let sealed = seal_envelope(payload);
-        assert_eq!(unseal_envelope(&sealed).expect("round trip"), payload);
+        let payload = br#"{"hello": [1, 2, 3]}"#;
+        let sealed = seal_envelope_bytes(payload);
+        assert_eq!(
+            unseal_envelope_bytes(&sealed).expect("round trip"),
+            payload.as_slice()
+        );
 
         // Flip one payload byte: checksum must catch it.
-        let mut bytes = sealed.clone().into_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x20;
-        let flipped = String::from_utf8(bytes).expect("ascii payload");
+        let mut flipped = sealed.clone();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x20;
         assert!(matches!(
-            unseal_envelope(&flipped),
+            unseal_envelope_bytes(&flipped),
             Err(EnvelopeError::Checksum { .. })
         ));
 
         // Truncate mid-payload: checksum must catch it.
-        let truncated = &sealed[..sealed.len() - 4];
         assert!(matches!(
-            unseal_envelope(truncated),
+            unseal_envelope_bytes(&sealed[..sealed.len() - 4]),
             Err(EnvelopeError::Checksum { .. })
         ));
 
         // Not an envelope at all.
         assert!(matches!(
-            unseal_envelope("random junk\nmore junk"),
+            unseal_envelope_bytes(b"random junk\nmore junk"),
             Err(EnvelopeError::Malformed { .. })
         ));
         assert!(matches!(
-            unseal_envelope("no newline at all"),
+            unseal_envelope_bytes(b"no newline at all"),
             Err(EnvelopeError::Malformed { .. })
         ));
     }
@@ -1016,9 +748,17 @@ mod tests {
             unseal_envelope_bytes(&corrupt),
             Err(EnvelopeError::Checksum { .. })
         ));
-        // The text API rejects binary payloads instead of panicking.
-        let lossy = String::from_utf8_lossy(&sealed).into_owned();
-        assert!(unseal_envelope(&lossy).is_err());
+    }
+
+    /// Persist `payload` as a one-frame chain (a base) at `iteration`.
+    fn write_base(store: &CheckpointStore, iteration: u64, payload: &[u8]) {
+        store
+            .write_base_frame(&mut StdIo, iteration, &encode_base_frame(payload))
+            .expect("write base");
+    }
+
+    fn walk(store: &CheckpointStore) -> Recovery {
+        store.recover_and_scrub(&mut StdIo)
     }
 
     #[test]
@@ -1026,7 +766,7 @@ mod tests {
         let dir = test_dir("store_rotates_and_recovers_newest");
         let store = CheckpointStore::new(&dir, 2);
         for i in [3u64, 7, 11] {
-            store.write(i, format!("payload-{i}").as_bytes()).expect("write");
+            write_base(&store, i, format!("payload-{i}").as_bytes());
         }
         let files = store.candidates();
         assert_eq!(
@@ -1034,9 +774,10 @@ mod tests {
             vec![11, 7],
             "oldest checkpoint must be pruned"
         );
-        let rec = store.recover();
+        let rec = walk(&store);
         assert_eq!(rec.checkpoint, Some((11, b"payload-11".to_vec())));
         assert!(rec.skipped.is_empty(), "{:?}", rec.skipped);
+        assert!(rec.quarantined.is_empty(), "{:?}", rec.quarantined);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1044,44 +785,38 @@ mod tests {
     fn store_falls_back_past_corrupt_checkpoints() {
         let dir = test_dir("store_falls_back_past_corrupt_checkpoints");
         let store = CheckpointStore::new(&dir, 3);
-        store.write(1, b"good-old").expect("write");
-        store.write(2, b"good-new").expect("write");
+        write_base(&store, 1, b"good-old");
+        write_base(&store, 2, b"good-new");
         // Corrupt the newest on disk (simulating a torn write from a
         // pre-atomic producer or disk corruption).
         std::fs::write(store.path_for(2), "A3CS-CKPT v2 fnv1a=0000000000000000\nbad")
             .expect("corrupt");
-        let rec = store.recover();
+        let rec = walk(&store);
         assert_eq!(rec.checkpoint, Some((1, b"good-old".to_vec())));
         assert_eq!(rec.skipped.len(), 1, "{:?}", rec.skipped);
         assert!(rec.skipped[0].contains("checksum"), "{:?}", rec.skipped);
+        assert_eq!(rec.quarantined.len(), 1, "{:?}", rec.quarantined);
 
         // Truncate the survivor too: recovery degrades to None, no panic.
-        let text = std::fs::read_to_string(store.path_for(1)).expect("read");
-        std::fs::write(store.path_for(1), &text[..text.len() - 2]).expect("truncate");
-        let rec = store.recover();
+        let bytes = std::fs::read(store.path_for(1)).expect("read");
+        std::fs::write(store.path_for(1), &bytes[..bytes.len() - 2]).expect("truncate");
+        let rec = walk(&store);
         assert_eq!(rec.checkpoint, None);
-        assert_eq!(rec.skipped.len(), 2);
+        assert_eq!(rec.skipped.len(), 1, "the quarantined base is gone");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn store_recover_on_missing_dir_is_empty() {
         let store = CheckpointStore::new("/nonexistent/a3cs-ckpt-store", 2);
-        let rec = store.recover();
-        assert_eq!(rec.checkpoint, None);
-        assert!(rec.skipped.is_empty());
-        let rec = store.recover_checkpoint();
-        assert_eq!(rec.checkpoint, None);
-        assert!(rec.skipped.is_empty() && rec.fallbacks.is_empty());
+        assert_eq!(walk(&store), Recovery::default());
     }
 
     #[test]
     fn store_recover_on_existing_empty_dir_is_empty() {
         let dir = test_dir("store_recover_on_existing_empty_dir_is_empty");
         let store = CheckpointStore::new(&dir, 2);
-        assert_eq!(store.recover().checkpoint, None);
-        assert_eq!(store.recover_checkpoint().checkpoint, None);
-        assert_eq!(store.scrub(&mut StdIo), ScrubReport::default());
+        assert_eq!(walk(&store), Recovery::default());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1091,7 +826,7 @@ mod tests {
         // keep = 0 clamps to 1: rotation may never delete every checkpoint.
         let store = CheckpointStore::new(&dir, 0);
         for i in 1u64..=5 {
-            store.write(i, format!("p{i}").as_bytes()).expect("write");
+            write_base(&store, i, format!("p{i}").as_bytes());
         }
         let files = store.candidates();
         assert_eq!(
@@ -1099,7 +834,7 @@ mod tests {
             vec![5],
             "keep=1 must retain exactly the newest checkpoint"
         );
-        assert_eq!(store.recover().checkpoint, Some((5, b"p5".to_vec())));
+        assert_eq!(walk(&store).checkpoint, Some((5, b"p5".to_vec())));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1108,13 +843,13 @@ mod tests {
         let parent = test_dir("two_stores_sharing_a_parent_dir_stay_isolated");
         let a = CheckpointStore::new(parent.join("session-0000"), 2);
         let b = CheckpointStore::new(parent.join("session-0001"), 2);
-        a.write(10, b"a-ten").expect("write");
-        b.write(20, b"b-twenty").expect("write");
-        b.write(21, b"b-twentyone").expect("write");
+        write_base(&a, 10, b"a-ten");
+        write_base(&b, 20, b"b-twenty");
+        write_base(&b, 21, b"b-twentyone");
         // Each store sees only its own files; writes and pruning in one
         // never touch the sibling.
-        assert_eq!(a.recover().checkpoint, Some((10, b"a-ten".to_vec())));
-        assert_eq!(b.recover().checkpoint, Some((21, b"b-twentyone".to_vec())));
+        assert_eq!(walk(&a).checkpoint, Some((10, b"a-ten".to_vec())));
+        assert_eq!(walk(&b).checkpoint, Some((21, b"b-twentyone".to_vec())));
         assert_eq!(a.candidates().len(), 1);
         assert_eq!(b.candidates().len(), 2);
         std::fs::remove_dir_all(&parent).ok();
@@ -1128,38 +863,24 @@ mod tests {
         // tied, on coarse-granularity filesystems). Recovery must still
         // pick iteration 5: ordering is by parsed iteration in the file
         // name, never by mtime, for determinism across filesystems.
-        store.write(5, b"newest-by-name").expect("write");
-        store.write(3, b"newest-by-mtime").expect("write");
+        write_base(&store, 5, b"newest-by-name");
+        write_base(&store, 3, b"newest-by-mtime");
         assert_eq!(
-            store.recover().checkpoint,
-            Some((5, b"newest-by-name".to_vec()))
-        );
-        assert_eq!(
-            store.recover_checkpoint().checkpoint,
+            walk(&store).checkpoint,
             Some((5, b"newest-by-name".to_vec()))
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Build a base + delta chain of `payloads` at iterations 10, 11, …
-    /// through the store API, returning the (base, deltas) payloads.
+    /// through the store API.
     fn write_chain(store: &CheckpointStore, payloads: &[&[u8]]) {
-        use crate::frame::{encode_delta_frame, CheckpointCodec};
         let base = payloads[0];
         let chain_id = fnv1a64(base);
-        store
-            .write_base_frame(&mut StdIo, 10, &encode_base_frame(base, CheckpointCodec::RleZero))
-            .expect("base");
+        write_base(store, 10, base);
         let mut parent = base.to_vec();
         for (i, &target) in payloads.iter().enumerate().skip(1) {
-            let frame = encode_delta_frame(
-                &parent,
-                target,
-                chain_id,
-                i as u32,
-                10 + i as u64 - 1,
-                CheckpointCodec::RleZero,
-            );
+            let frame = encode_delta_frame(&parent, target, chain_id, i as u32, 10 + i as u64 - 1);
             store
                 .write_delta_frame(&mut StdIo, 10 + i as u64, &frame)
                 .expect("delta");
@@ -1172,9 +893,10 @@ mod tests {
         let dir = test_dir("chain_recovery_replays_base_and_deltas");
         let store = CheckpointStore::new(&dir, 2);
         write_chain(&store, &[b"state-a!", b"state-b!", b"state-c!"]);
-        let rec = store.recover_checkpoint();
+        let rec = walk(&store);
         assert_eq!(rec.checkpoint, Some((12, b"state-c!".to_vec())));
         assert!(rec.skipped.is_empty() && rec.fallbacks.is_empty(), "{rec:?}");
+        assert!(rec.quarantined.is_empty(), "{rec:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1189,18 +911,37 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).expect("corrupt");
-        let rec = store.recover_checkpoint();
+        let rec = walk(&store);
         assert_eq!(rec.checkpoint, Some((10, b"state-a!".to_vec())));
         assert_eq!(rec.fallbacks.len(), 1, "{rec:?}");
-        // Scrub quarantines the broken delta and everything downstream.
-        let report = store.scrub(&mut StdIo);
-        assert_eq!(report.quarantined.len(), 2, "{report:?}");
-        assert!(store.delta_path_for(11).with_extension("delta.bad").exists()
-            || !store.delta_path_for(11).exists());
-        // After the scrub, recovery is clean (prefix only, no fallbacks).
-        let rec = store.recover_checkpoint();
+        // The same walk quarantined the broken delta and everything
+        // downstream of it.
+        assert_eq!(rec.quarantined.len(), 2, "{rec:?}");
+        assert!(store.delta_path_for(11).with_extension("delta.bad").exists());
+        // The next recovery is clean (prefix only, no fallbacks).
+        let rec = walk(&store);
         assert_eq!(rec.checkpoint, Some((10, b"state-a!".to_vec())));
-        assert!(rec.fallbacks.is_empty(), "{rec:?}");
+        assert!(rec.fallbacks.is_empty() && rec.quarantined.is_empty(), "{rec:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn older_chains_are_scrubbed_without_touching_the_recovery() {
+        let dir = test_dir("older_chains_are_scrubbed_without_touching_the_recovery");
+        let store = CheckpointStore::new(&dir, 2);
+        write_chain(&store, &[b"old-base", b"old-tip!"]); // base 10, delta 11
+        write_base(&store, 20, b"new-base");
+        let path = store.delta_path_for(11);
+        let mut bytes = std::fs::read(&path).expect("read");
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xff;
+        std::fs::write(&path, &bytes).expect("corrupt");
+        let rec = walk(&store);
+        assert_eq!(rec.checkpoint, Some((20, b"new-base".to_vec())));
+        // The rotten delta belongs to a chain recovery never needed: it is
+        // quarantined, but it is neither a skip nor a fallback.
+        assert!(rec.skipped.is_empty() && rec.fallbacks.is_empty(), "{rec:?}");
+        assert_eq!(rec.quarantined.len(), 1, "{rec:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1210,11 +951,10 @@ mod tests {
         let store = CheckpointStore::new(&dir, 2);
         write_chain(&store, &[b"state-a!", b"state-b!"]);
         std::fs::remove_file(store.path_for(10)).expect("drop base");
-        let rec = store.recover_checkpoint();
+        let rec = walk(&store);
         assert_eq!(rec.checkpoint, None, "{rec:?}");
-        let report = store.scrub(&mut StdIo);
-        assert_eq!(report.quarantined.len(), 1, "{report:?}");
-        assert!(report.quarantined[0].contains("orphan"), "{report:?}");
+        assert_eq!(rec.quarantined.len(), 1, "{rec:?}");
+        assert!(rec.quarantined[0].contains("orphan"), "{rec:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1222,61 +962,28 @@ mod tests {
     fn scrub_quarantines_stray_tmp_files() {
         let dir = test_dir("scrub_quarantines_stray_tmp_files");
         let store = CheckpointStore::new(&dir, 2);
-        store.write(1, b"good").expect("write");
+        write_base(&store, 1, b"good");
         std::fs::write(dir.join("ckpt-000000000002.json.tmp"), b"torn").expect("tmp");
-        let report = store.scrub(&mut StdIo);
-        assert_eq!(report.quarantined.len(), 1, "{report:?}");
-        assert!(report.quarantined[0].contains("torn rename"), "{report:?}");
+        let rec = walk(&store);
+        assert_eq!(rec.quarantined.len(), 1, "{rec:?}");
+        assert!(rec.quarantined[0].contains("torn rename"), "{rec:?}");
         assert!(dir.join("ckpt-000000000002.json.tmp.bad").exists());
-        assert_eq!(store.recover().checkpoint, Some((1, b"good".to_vec())));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compact_folds_long_chains_into_a_fresh_base() {
-        use crate::frame::CheckpointCodec;
-        let dir = test_dir("compact_folds_long_chains_into_a_fresh_base");
-        let store = CheckpointStore::new(&dir, 4);
-        write_chain(&store, &[b"state-a!", b"state-b!", b"state-c!", b"state-d!"]);
-        let report = store
-            .compact(&mut StdIo, 1, CheckpointCodec::RleZero)
-            .expect("compact");
-        assert_eq!(report.folded_chains, 1);
-        assert_eq!(report.removed_frames, 3);
-        // The tip is now a base of its own; recovery still lands on it.
-        assert!(store.path_for(13).exists());
-        assert!(store.delta_candidates().is_empty());
-        let rec = store.recover_checkpoint();
-        assert_eq!(rec.checkpoint, Some((13, b"state-d!".to_vec())));
+        assert_eq!(rec.checkpoint, Some((1, b"good".to_vec())));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn pruning_removes_whole_chains_together() {
-        use crate::frame::{encode_delta_frame, CheckpointCodec};
         let dir = test_dir("pruning_removes_whole_chains_together");
         let store = CheckpointStore::new(&dir, 1);
         write_chain(&store, &[b"old-base", b"old-tip!"]); // base 10, delta 11
         // A new base at 20 with keep=1 must remove base 10 *and* delta 11.
-        store
-            .write_base_frame(
-                &mut StdIo,
-                20,
-                &encode_base_frame(b"new-base", CheckpointCodec::RleZero),
-            )
-            .expect("base");
-        let frame = encode_delta_frame(
-            b"new-base",
-            b"new-tip!",
-            fnv1a64(b"new-base"),
-            1,
-            20,
-            CheckpointCodec::RleZero,
-        );
+        write_base(&store, 20, b"new-base");
+        let frame = encode_delta_frame(b"new-base", b"new-tip!", fnv1a64(b"new-base"), 1, 20);
         store.write_delta_frame(&mut StdIo, 21, &frame).expect("delta");
         assert_eq!(store.candidates().len(), 1);
         assert_eq!(store.delta_candidates().len(), 1);
-        let rec = store.recover_checkpoint();
+        let rec = walk(&store);
         assert_eq!(rec.checkpoint, Some((21, b"new-tip!".to_vec())));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -22,7 +22,7 @@
 //! Frames are opaque payloads to the envelope layer: the store still
 //! seals every frame with its own checksummed header, so bit rot is
 //! caught before a frame is even parsed. All decoding is total — corrupt
-//! input yields [`FrameError`], never a panic.
+//! input yields [`FrameError`], never a panic or an aborting allocation.
 //!
 //! The [`CheckpointIo`] trait abstracts the three filesystem operations
 //! durable writes need, so tests inject write errors, short writes and
@@ -36,55 +36,20 @@ use std::io;
 use std::path::Path;
 
 /// Magic prefix of an encoded base frame.
-pub const BASE_FRAME_MAGIC: &[u8; 8] = b"A3CSFRB1";
+const BASE_FRAME_MAGIC: &[u8; 8] = b"A3CSFRB1";
 /// Magic prefix of an encoded delta frame.
-pub const DELTA_FRAME_MAGIC: &[u8; 8] = b"A3CSFRD1";
-
-/// Per-frame compression applied to the (possibly XOR-diffed) payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CheckpointCodec {
-    /// Store the stream verbatim (useful for debugging and as the
-    /// degenerate baseline in benchmarks).
-    Raw,
-    /// Run-length encoding of zero `u32` words with varint-counted literal
-    /// runs — delta streams are mostly zero words, and base payloads still
-    /// shrink on zero-heavy regions (fresh optimiser slots).
-    #[default]
-    RleZero,
-}
-
-impl CheckpointCodec {
-    fn tag(self) -> u8 {
-        match self {
-            CheckpointCodec::Raw => 0,
-            CheckpointCodec::RleZero => 1,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(CheckpointCodec::Raw),
-            1 => Some(CheckpointCodec::RleZero),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase name (used in telemetry and benchmark records).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            CheckpointCodec::Raw => "raw",
-            CheckpointCodec::RleZero => "rle-zero",
-        }
-    }
-}
+const DELTA_FRAME_MAGIC: &[u8; 8] = b"A3CSFRD1";
+/// Codec tag every frame records: run-length encoding of zero `u32` words
+/// with varint-counted literal runs. It is the only codec; decoding any
+/// other tag is an error.
+const RLE_ZERO_TAG: u8 = 1;
 
 /// Why a frame could not be decoded or a delta could not be applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
     /// The bytes are not a parsable frame (bad magic, truncated header,
-    /// unknown codec, or a compressed stream that does not decode to the
-    /// recorded length).
+    /// unknown codec, a payload length no buffer can hold, or a compressed
+    /// stream that does not decode to the recorded length).
     Malformed(String),
     /// The frame decoded but belongs to a different chain, position or
     /// parent than the replay expected — applying it would reconstruct
@@ -146,106 +111,83 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     None // varint longer than 10 bytes cannot encode a u64
 }
 
-/// Compress `raw` with `codec`. The output does not record `raw.len()` —
-/// frames carry the length in their header, and [`decompress`] validates
-/// exact coverage against it.
-#[must_use]
-pub fn compress(raw: &[u8], codec: CheckpointCodec) -> Vec<u8> {
-    match codec {
-        CheckpointCodec::Raw => raw.to_vec(),
-        CheckpointCodec::RleZero => {
-            let words = raw.len() / 4;
-            let tail = &raw[words * 4..];
-            let word_at = |i: usize| &raw[i * 4..i * 4 + 4];
-            let mut out = Vec::with_capacity(raw.len() / 8 + 16);
-            let mut i = 0;
-            while i < words {
-                let zero = word_at(i) == [0u8; 4];
-                let mut j = i + 1;
-                while j < words && (word_at(j) == [0u8; 4]) == zero {
-                    j += 1;
-                }
-                let run = (j - i) as u64;
-                if zero {
-                    put_varint(&mut out, run << 1);
-                } else {
-                    put_varint(&mut out, (run << 1) | 1);
-                    out.extend_from_slice(&raw[i * 4..j * 4]);
-                }
-                i = j;
-            }
-            out.extend_from_slice(tail);
-            out
+/// Run-length encode the zero `u32` words of `raw`. The output does not
+/// record `raw.len()` — frames carry the length in their header, and
+/// [`decompress`] validates exact coverage against it.
+fn compress(raw: &[u8]) -> Vec<u8> {
+    let words = raw.len() / 4;
+    let tail = &raw[words * 4..];
+    let word_at = |i: usize| &raw[i * 4..i * 4 + 4];
+    let mut out = Vec::with_capacity(raw.len() / 8 + 16);
+    let mut i = 0;
+    while i < words {
+        let zero = word_at(i) == [0u8; 4];
+        let mut j = i + 1;
+        while j < words && (word_at(j) == [0u8; 4]) == zero {
+            j += 1;
         }
+        let run = (j - i) as u64;
+        if zero {
+            put_varint(&mut out, run << 1);
+        } else {
+            put_varint(&mut out, (run << 1) | 1);
+            out.extend_from_slice(&raw[i * 4..j * 4]);
+        }
+        i = j;
     }
+    out.extend_from_slice(tail);
+    out
 }
 
 /// Invert [`compress`], validating that the stream covers exactly
-/// `raw_len` bytes.
-///
-/// # Errors
-///
-/// [`FrameError::Malformed`] when the stream is truncated, overruns
-/// `raw_len`, or ends before covering it.
-pub fn decompress(
-    compressed: &[u8],
-    raw_len: usize,
-    codec: CheckpointCodec,
-) -> Result<Vec<u8>, FrameError> {
-    match codec {
-        CheckpointCodec::Raw => {
-            if compressed.len() != raw_len {
-                return Err(FrameError::Malformed(format!(
-                    "raw codec stream is {} bytes for a {raw_len}-byte payload",
-                    compressed.len()
-                )));
-            }
-            Ok(compressed.to_vec())
+/// `raw_len` bytes. The output buffer is reserved fallibly, so a header
+/// claiming an impossible length is an error rather than an aborted
+/// allocation.
+fn decompress(compressed: &[u8], raw_len: usize) -> Result<Vec<u8>, FrameError> {
+    let words = raw_len / 4;
+    let tail_len = raw_len - words * 4;
+    let mut out = Vec::new();
+    out.try_reserve_exact(raw_len).map_err(|_| {
+        FrameError::Malformed(format!("cannot allocate a {raw_len}-byte payload"))
+    })?;
+    let mut pos = 0;
+    while out.len() < words * 4 {
+        let Some(op) = get_varint(compressed, &mut pos) else {
+            return Err(FrameError::Malformed(
+                "compressed stream truncated mid-op".to_string(),
+            ));
+        };
+        let run = usize::try_from(op >> 1).map_err(|_| {
+            FrameError::Malformed("run length exceeds the address space".to_string())
+        })?;
+        if run == 0 || run > words - out.len() / 4 {
+            return Err(FrameError::Malformed(format!(
+                "run of {run} words at word {} of {words}",
+                out.len() / 4
+            )));
         }
-        CheckpointCodec::RleZero => {
-            let words = raw_len / 4;
-            let tail_len = raw_len - words * 4;
-            let mut out = Vec::with_capacity(raw_len);
-            let mut pos = 0;
-            while out.len() < words * 4 {
-                let Some(op) = get_varint(compressed, &mut pos) else {
-                    return Err(FrameError::Malformed(
-                        "compressed stream truncated mid-op".to_string(),
-                    ));
-                };
-                let run = usize::try_from(op >> 1).map_err(|_| {
-                    FrameError::Malformed("run length exceeds the address space".to_string())
-                })?;
-                if run == 0 || run > words - out.len() / 4 {
-                    return Err(FrameError::Malformed(format!(
-                        "run of {run} words at word {} of {words}",
-                        out.len() / 4
-                    )));
-                }
-                if op & 1 == 0 {
-                    out.resize(out.len() + run * 4, 0);
-                } else {
-                    let lit = compressed.get(pos..pos + run * 4).ok_or_else(|| {
-                        FrameError::Malformed("literal run truncated".to_string())
-                    })?;
-                    out.extend_from_slice(lit);
-                    pos += run * 4;
-                }
-            }
-            let tail = compressed.get(pos..pos + tail_len).ok_or_else(|| {
-                FrameError::Malformed("tail bytes truncated".to_string())
-            })?;
-            out.extend_from_slice(tail);
-            pos += tail_len;
-            if pos != compressed.len() {
-                return Err(FrameError::Malformed(format!(
-                    "{} trailing bytes after the stream",
-                    compressed.len() - pos
-                )));
-            }
-            Ok(out)
+        if op & 1 == 0 {
+            out.resize(out.len() + run * 4, 0);
+        } else {
+            let lit = compressed
+                .get(pos..pos + run * 4)
+                .ok_or_else(|| FrameError::Malformed("literal run truncated".to_string()))?;
+            out.extend_from_slice(lit);
+            pos += run * 4;
         }
     }
+    let tail = compressed
+        .get(pos..pos + tail_len)
+        .ok_or_else(|| FrameError::Malformed("tail bytes truncated".to_string()))?;
+    out.extend_from_slice(tail);
+    pos += tail_len;
+    if pos != compressed.len() {
+        return Err(FrameError::Malformed(format!(
+            "{} trailing bytes after the stream",
+            compressed.len() - pos
+        )));
+    }
+    Ok(out)
 }
 
 // --- frame encoding ------------------------------------------------------
@@ -270,28 +212,34 @@ fn get_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
     Some(u32::from_le_bytes(chunk))
 }
 
-/// `true` if `bytes` starts with either frame magic (as opposed to a
-/// legacy raw checkpoint payload, which starts with the checkpoint's own
-/// binary magic or `{`).
-#[must_use]
-pub fn is_frame(bytes: &[u8]) -> bool {
-    bytes.starts_with(BASE_FRAME_MAGIC) || bytes.starts_with(DELTA_FRAME_MAGIC)
+/// Strip `magic` and the codec tag off `frame`, returning the rest.
+fn frame_body<'a>(frame: &'a [u8], magic: &[u8; 8], kind: &str) -> Result<&'a [u8], FrameError> {
+    let rest = frame
+        .strip_prefix(magic.as_slice())
+        .ok_or_else(|| FrameError::Malformed(format!("not a {kind} frame (bad magic)")))?;
+    match rest.split_first() {
+        Some((&RLE_ZERO_TAG, body)) => Ok(body),
+        Some((&tag, _)) => Err(FrameError::Malformed(format!("unknown codec tag {tag}"))),
+        None => Err(FrameError::Malformed(format!(
+            "{kind} frame truncated before the codec tag"
+        ))),
+    }
 }
 
-/// `true` if `bytes` is an encoded base frame.
-#[must_use]
-pub fn is_base_frame(bytes: &[u8]) -> bool {
-    bytes.starts_with(BASE_FRAME_MAGIC)
+fn payload_len(raw_len: u64) -> Result<usize, FrameError> {
+    usize::try_from(raw_len).map_err(|_| {
+        FrameError::Malformed("payload length exceeds the address space".to_string())
+    })
 }
 
 /// Encode `payload` as a base frame: the root of a new chain whose id is
 /// `fnv1a64(payload)`.
 #[must_use]
-pub fn encode_base_frame(payload: &[u8], codec: CheckpointCodec) -> Vec<u8> {
-    let compressed = compress(payload, codec);
+pub fn encode_base_frame(payload: &[u8]) -> Vec<u8> {
+    let compressed = compress(payload);
     let mut out = Vec::with_capacity(compressed.len() + 24);
     out.extend_from_slice(BASE_FRAME_MAGIC);
-    out.push(codec.tag());
+    out.push(RLE_ZERO_TAG);
     put_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(&compressed);
     out
@@ -304,41 +252,35 @@ pub fn encode_base_frame(payload: &[u8], codec: CheckpointCodec) -> Vec<u8> {
 /// [`FrameError::Malformed`] on bad magic, an unknown codec, or a stream
 /// that does not decompress to the recorded length.
 pub fn decode_base_frame(frame: &[u8]) -> Result<Vec<u8>, FrameError> {
-    let rest = frame.strip_prefix(BASE_FRAME_MAGIC.as_slice()).ok_or_else(|| {
-        FrameError::Malformed("not a base frame (bad magic)".to_string())
-    })?;
+    let body = frame_body(frame, BASE_FRAME_MAGIC, "base")?;
     let mut pos = 0;
-    let &tag = rest.first().ok_or_else(|| {
-        FrameError::Malformed("base frame truncated before the codec tag".to_string())
-    })?;
-    pos += 1;
-    let codec = CheckpointCodec::from_tag(tag)
-        .ok_or_else(|| FrameError::Malformed(format!("unknown codec tag {tag}")))?;
-    let raw_len = get_u64(rest, &mut pos).ok_or_else(|| {
+    let raw_len = get_u64(body, &mut pos).ok_or_else(|| {
         FrameError::Malformed("base frame truncated in the header".to_string())
     })?;
-    let raw_len = usize::try_from(raw_len).map_err(|_| {
-        FrameError::Malformed("payload length exceeds the address space".to_string())
-    })?;
-    decompress(&rest[pos..], raw_len, codec)
+    decompress(&body[pos..], payload_len(raw_len)?)
 }
 
-/// Header fields of a decoded delta frame (exposed for scrubbing, which
-/// verifies chains without reconstructing payloads it does not need).
+/// Header fields of a delta frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaHeader {
+struct DeltaHeader {
     /// FNV-1a hash of the chain's base payload.
-    pub chain_id: u64,
+    chain_id: u64,
     /// 1-based position of this delta in its chain.
-    pub position: u32,
-    /// Iteration of the frame this delta was diffed against.
-    pub parent_iteration: u64,
+    position: u32,
     /// FNV-1a hash of the parent payload.
-    pub parent_sum: u64,
+    parent_sum: u64,
     /// FNV-1a hash of the payload this delta reconstructs.
-    pub target_sum: u64,
+    target_sum: u64,
     /// Length in bytes of the payload this delta reconstructs.
-    pub raw_len: u64,
+    raw_len: u64,
+}
+
+/// XOR `parent` into `bytes`, treating `parent` as zero-padded past its
+/// end (and ignoring any of it past the end of `bytes`).
+fn xor_into(bytes: &mut [u8], parent: &[u8]) {
+    for (b, &p) in bytes.iter_mut().zip(parent) {
+        *b ^= p;
+    }
 }
 
 /// Encode the delta frame that turns `parent` into `target`.
@@ -353,16 +295,13 @@ pub fn encode_delta_frame(
     chain_id: u64,
     position: u32,
     parent_iteration: u64,
-    codec: CheckpointCodec,
 ) -> Vec<u8> {
-    let mut xor: Vec<u8> = Vec::with_capacity(target.len());
-    for (i, &t) in target.iter().enumerate() {
-        xor.push(t ^ parent.get(i).copied().unwrap_or(0));
-    }
-    let compressed = compress(&xor, codec);
+    let mut xor = target.to_vec();
+    xor_into(&mut xor, parent);
+    let compressed = compress(&xor);
     let mut out = Vec::with_capacity(compressed.len() + 56);
     out.extend_from_slice(DELTA_FRAME_MAGIC);
-    out.push(codec.tag());
+    out.push(RLE_ZERO_TAG);
     put_u64(&mut out, chain_id);
     put_u32(&mut out, position);
     put_u64(&mut out, parent_iteration);
@@ -373,35 +312,27 @@ pub fn encode_delta_frame(
     out
 }
 
-/// Decode just the header of a delta frame.
-///
-/// # Errors
-///
-/// [`FrameError::Malformed`] on bad magic, an unknown codec, or a
-/// truncated header.
-pub fn decode_delta_header(frame: &[u8]) -> Result<(DeltaHeader, CheckpointCodec), FrameError> {
-    let rest = frame.strip_prefix(DELTA_FRAME_MAGIC.as_slice()).ok_or_else(|| {
-        FrameError::Malformed("not a delta frame (bad magic)".to_string())
-    })?;
+/// Decode the header of a delta frame, returning it with the compressed
+/// body that follows.
+fn decode_delta_header(frame: &[u8]) -> Result<(DeltaHeader, &[u8]), FrameError> {
+    let body = frame_body(frame, DELTA_FRAME_MAGIC, "delta")?;
     let mut pos = 0;
-    let &tag = rest.first().ok_or_else(|| {
-        FrameError::Malformed("delta frame truncated before the codec tag".to_string())
-    })?;
-    pos += 1;
-    let codec = CheckpointCodec::from_tag(tag)
-        .ok_or_else(|| FrameError::Malformed(format!("unknown codec tag {tag}")))?;
     let header = (|| {
+        let chain_id = get_u64(body, &mut pos)?;
+        let position = get_u32(body, &mut pos)?;
+        // The parent's iteration is recorded for forensics only: replay
+        // identifies the parent by its checksum.
+        let _parent_iteration = get_u64(body, &mut pos)?;
         Some(DeltaHeader {
-            chain_id: get_u64(rest, &mut pos)?,
-            position: get_u32(rest, &mut pos)?,
-            parent_iteration: get_u64(rest, &mut pos)?,
-            parent_sum: get_u64(rest, &mut pos)?,
-            target_sum: get_u64(rest, &mut pos)?,
-            raw_len: get_u64(rest, &mut pos)?,
+            chain_id,
+            position,
+            parent_sum: get_u64(body, &mut pos)?,
+            target_sum: get_u64(body, &mut pos)?,
+            raw_len: get_u64(body, &mut pos)?,
         })
     })()
     .ok_or_else(|| FrameError::Malformed("delta frame truncated in the header".to_string()))?;
-    Ok((header, codec))
+    Ok((header, &body[pos..]))
 }
 
 /// Apply a delta frame to `parent`, verifying every chain invariant:
@@ -418,7 +349,7 @@ pub fn apply_delta_frame(
     expect_chain_id: u64,
     expect_position: u32,
 ) -> Result<Vec<u8>, FrameError> {
-    let (header, codec) = decode_delta_header(frame)?;
+    let (header, body) = decode_delta_header(frame)?;
     if header.chain_id != expect_chain_id {
         return Err(FrameError::ChainMismatch(format!(
             "frame belongs to chain {:016x}, replaying chain {expect_chain_id:016x}",
@@ -438,18 +369,8 @@ pub fn apply_delta_frame(
             header.parent_sum
         )));
     }
-    let raw_len = usize::try_from(header.raw_len).map_err(|_| {
-        FrameError::Malformed("payload length exceeds the address space".to_string())
-    })?;
-    // Header: magic(8) + codec(1) + chain_id/parent_iteration/parent_sum/
-    // target_sum/raw_len (5×8) + position(4).
-    let body = &frame[8 + 1 + 8 * 5 + 4..];
-    let xor = decompress(body, raw_len, codec)?;
-    let target: Vec<u8> = xor
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| d ^ parent.get(i).copied().unwrap_or(0))
-        .collect();
+    let mut target = decompress(body, payload_len(header.raw_len)?)?;
+    xor_into(&mut target, parent);
     let computed = fnv1a64(&target);
     if header.target_sum != computed {
         return Err(FrameError::TargetChecksum {
@@ -526,30 +447,25 @@ mod tests {
         let mut raw = vec![0u8; 4096];
         raw[100] = 7;
         raw[2000] = 9;
-        let compressed = compress(&raw, CheckpointCodec::RleZero);
+        let compressed = compress(&raw);
         assert!(
             compressed.len() < 32,
             "two dirty words in 1024 must collapse: {} bytes",
             compressed.len()
         );
-        assert_eq!(
-            decompress(&compressed, raw.len(), CheckpointCodec::RleZero).expect("round trip"),
-            raw
-        );
+        assert_eq!(decompress(&compressed, raw.len()).expect("round trip"), raw);
     }
 
     #[test]
-    fn codecs_round_trip_unaligned_lengths() {
-        for codec in [CheckpointCodec::Raw, CheckpointCodec::RleZero] {
-            for len in [0usize, 1, 3, 4, 5, 7, 8, 1023] {
-                let raw: Vec<u8> = (0..len).map(|i| (i * 37 % 251) as u8).collect();
-                let compressed = compress(&raw, codec);
-                assert_eq!(
-                    decompress(&compressed, len, codec).expect("round trip"),
-                    raw,
-                    "codec {codec:?} len {len}"
-                );
-            }
+    fn codec_round_trips_unaligned_lengths() {
+        for len in [0usize, 1, 3, 4, 5, 7, 8, 1023] {
+            let raw: Vec<u8> = (0..len).map(|i| (i * 37 % 251) as u8).collect();
+            let compressed = compress(&raw);
+            assert_eq!(
+                decompress(&compressed, len).expect("round trip"),
+                raw,
+                "len {len}"
+            );
         }
     }
 
@@ -559,11 +475,8 @@ mod tests {
         /// Arbitrary byte streams survive the codec exactly.
         #[test]
         fn rle_zero_round_trips_arbitrary_bytes(raw in prop::collection::vec(any::<u8>(), 0..2048)) {
-            let compressed = compress(&raw, CheckpointCodec::RleZero);
-            prop_assert_eq!(
-                decompress(&compressed, raw.len(), CheckpointCodec::RleZero).expect("round trip"),
-                raw
-            );
+            let compressed = compress(&raw);
+            prop_assert_eq!(decompress(&compressed, raw.len()).expect("round trip"), raw);
         }
 
         /// Sparse streams (mostly zeros) compress and still round-trip.
@@ -576,11 +489,8 @@ mod tests {
             for (at, v) in dirty {
                 raw[at % len] = v;
             }
-            let compressed = compress(&raw, CheckpointCodec::RleZero);
-            prop_assert_eq!(
-                decompress(&compressed, len, CheckpointCodec::RleZero).expect("round trip"),
-                raw
-            );
+            let compressed = compress(&raw);
+            prop_assert_eq!(decompress(&compressed, len).expect("round trip"), raw);
         }
 
         /// Truncating or corrupting a compressed stream is an error, never a
@@ -590,24 +500,19 @@ mod tests {
             raw in prop::collection::vec(any::<u8>(), 1..512),
             cut in 0usize..512,
         ) {
-            let compressed = compress(&raw, CheckpointCodec::RleZero);
+            let compressed = compress(&raw);
             let cut = cut.min(compressed.len().saturating_sub(1));
             // Either the decode fails, or it succeeds with different bytes
             // (caught one level up by the frame checksums).
-            if let Ok(out) = decompress(&compressed[..cut], raw.len(), CheckpointCodec::RleZero) {
+            if let Ok(out) = decompress(&compressed[..cut], raw.len()) {
                 prop_assert_ne!(out, raw);
             }
         }
 
-        /// Base frames round-trip arbitrary payloads under both codecs.
+        /// Base frames round-trip arbitrary payloads.
         #[test]
-        fn base_frame_round_trip(
-            payload in prop::collection::vec(any::<u8>(), 0..2048),
-            use_raw in any::<bool>(),
-        ) {
-            let codec = if use_raw { CheckpointCodec::Raw } else { CheckpointCodec::RleZero };
-            let frame = encode_base_frame(&payload, codec);
-            prop_assert!(is_frame(&frame) && is_base_frame(&frame));
+        fn base_frame_round_trip(payload in prop::collection::vec(any::<u8>(), 0..2048)) {
+            let frame = encode_base_frame(&payload);
             prop_assert_eq!(decode_base_frame(&frame).expect("round trip"), payload);
         }
 
@@ -619,8 +524,8 @@ mod tests {
             target in prop::collection::vec(any::<u8>(), 0..1024),
         ) {
             let chain_id = fnv1a64(&parent);
-            let frame = encode_delta_frame(&parent, &target, chain_id, 1, 5, CheckpointCodec::RleZero);
-            prop_assert!(is_frame(&frame) && !is_base_frame(&frame));
+            let frame = encode_delta_frame(&parent, &target, chain_id, 1, 5);
+            prop_assert!(decode_base_frame(&frame).is_err(), "a delta is not a base");
             let back = apply_delta_frame(&frame, &parent, chain_id, 1).expect("round trip");
             prop_assert_eq!(back, target);
         }
@@ -631,11 +536,10 @@ mod tests {
             payload in prop::collection::vec(any::<u8>(), 0..512),
             cut in 0usize..600,
         ) {
-            let base = encode_base_frame(&payload, CheckpointCodec::RleZero);
+            let base = encode_base_frame(&payload);
             let cut_b = cut.min(base.len().saturating_sub(1));
             prop_assert!(decode_base_frame(&base[..cut_b]).is_err());
-            let delta =
-                encode_delta_frame(&payload, &payload, fnv1a64(&payload), 1, 0, CheckpointCodec::RleZero);
+            let delta = encode_delta_frame(&payload, &payload, fnv1a64(&payload), 1, 0);
             let cut_d = cut.min(delta.len().saturating_sub(1));
             prop_assert!(apply_delta_frame(&delta[..cut_d], &payload, fnv1a64(&payload), 1).is_err());
         }
@@ -646,7 +550,7 @@ mod tests {
         let parent = b"parent payload".to_vec();
         let target = b"target payload!".to_vec();
         let chain_id = fnv1a64(&parent);
-        let frame = encode_delta_frame(&parent, &target, chain_id, 3, 7, CheckpointCodec::RleZero);
+        let frame = encode_delta_frame(&parent, &target, chain_id, 3, 7);
 
         // Happy path.
         assert_eq!(
@@ -686,36 +590,60 @@ mod tests {
     fn delta_header_exposes_chain_fields() {
         let parent = vec![1u8; 64];
         let target = vec![2u8; 72];
-        let frame = encode_delta_frame(&parent, &target, 42, 9, 100, CheckpointCodec::Raw);
-        let (header, codec) = decode_delta_header(&frame).expect("header decodes");
-        assert_eq!(codec, CheckpointCodec::Raw);
+        let frame = encode_delta_frame(&parent, &target, 42, 9, 100);
+        let (header, _) = decode_delta_header(&frame).expect("header decodes");
         assert_eq!(header.chain_id, 42);
         assert_eq!(header.position, 9);
-        assert_eq!(header.parent_iteration, 100);
+        let parent_iteration = get_u64(&frame, &mut (DELTA_FRAME_MAGIC.len() + 1 + 8 + 4));
+        assert_eq!(parent_iteration, Some(100));
         assert_eq!(header.parent_sum, fnv1a64(&parent));
         assert_eq!(header.target_sum, fnv1a64(&target));
         assert_eq!(header.raw_len, 72);
     }
 
     #[test]
-    fn frames_never_collide_with_legacy_payloads() {
-        // Legacy payloads begin with the checkpoint binary magic or '{'.
-        assert!(!is_frame(b"A3CSBIN2...."));
-        assert!(!is_frame(b"{\"version\":2}"));
-        assert!(!is_frame(b""));
+    fn pre_frame_payloads_are_not_base_frames() {
+        // Older builds sealed the raw checkpoint (binary magic or JSON)
+        // without a frame around it.
+        for legacy in [&b"A3CSBIN2...."[..], b"{\"version\":2}", b""] {
+            assert!(matches!(
+                decode_base_frame(legacy),
+                Err(FrameError::Malformed(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn unknown_codec_tags_are_malformed() {
+        let mut frame = encode_base_frame(b"payload!");
+        frame[BASE_FRAME_MAGIC.len()] = 0; // the retired raw codec
+        assert!(matches!(
+            decode_base_frame(&frame),
+            Err(FrameError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn impossible_payload_length_is_malformed_not_an_abort() {
+        // 26 bytes: magic, codec tag, a 2^62-byte length and one varint
+        // zero run covering it. Reserving the output infallibly would
+        // abort the process before the run is even read.
+        let raw_len: u64 = 1 << 62;
+        let mut frame = BASE_FRAME_MAGIC.to_vec();
+        frame.push(RLE_ZERO_TAG);
+        put_u64(&mut frame, raw_len);
+        put_varint(&mut frame, (raw_len / 4) << 1);
+        assert_eq!(frame.len(), 26);
+        assert!(matches!(
+            decode_base_frame(&frame),
+            Err(FrameError::Malformed(_))
+        ));
     }
 
     #[test]
     fn identical_payload_delta_is_tiny() {
         let payload = vec![0xabu8; 64 * 1024];
-        let frame = encode_delta_frame(
-            &payload,
-            &payload,
-            fnv1a64(&payload),
-            1,
-            0,
-            CheckpointCodec::RleZero,
-        );
+        let frame = encode_delta_frame(&payload, &payload, fnv1a64(&payload), 1, 0);
         assert!(
             frame.len() < 128,
             "an all-zero XOR stream must collapse: {} bytes",

@@ -49,16 +49,15 @@ mod trainer;
 pub use a2c::{a2c_losses, A2cConfig, LossStats};
 pub use agent::ActorCritic;
 pub use checkpoint::{
-    fnv1a64, seal_envelope, seal_envelope_bytes, unseal_envelope, unseal_envelope_bytes,
-    write_atomic, write_atomic_bytes, write_atomic_bytes_with, Checkpoint, CheckpointStore,
-    CompactReport, EnvelopeError, LoadCheckpointError, Recovery, SaveCheckpointError, ScrubReport,
+    fnv1a64, seal_envelope_bytes, unseal_envelope_bytes, write_atomic_bytes,
+    write_atomic_bytes_with, Checkpoint, CheckpointStore, EnvelopeError, LoadCheckpointError,
+    Recovery, SaveCheckpointError,
 };
 pub use distill::{DistillConfig, DistillMode};
 pub use eval::{evaluate, EvalProtocol};
 pub use frame::{
-    apply_delta_frame, compress, decode_base_frame, decode_delta_header, decompress,
-    encode_base_frame, encode_delta_frame, is_base_frame, is_frame, CheckpointCodec, CheckpointIo,
-    DeltaHeader, FrameError, StdIo, BASE_FRAME_MAGIC, DELTA_FRAME_MAGIC,
+    apply_delta_frame, decode_base_frame, encode_base_frame, encode_delta_frame, CheckpointIo,
+    FrameError, StdIo,
 };
 pub use optim::{
     clip_grad_norm, Adam, LrSchedule, OptimStateError, Optimizer, OptimizerState, RmsProp,

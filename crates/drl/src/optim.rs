@@ -585,7 +585,7 @@ mod tests {
         let tape = Tape::new();
         let v = p.bind(&tape);
         v.scale(100.0).sum().backward(); // grad = [100, 100]
-        let pre = clip_grad_norm(&[p.clone()], 1.0);
+        let pre = clip_grad_norm(std::slice::from_ref(&p), 1.0);
         assert!(pre > 100.0);
         assert!((p.grad().sq_norm().sqrt() - 1.0).abs() < 1e-4);
     }
@@ -595,7 +595,7 @@ mod tests {
         let p = Param::new("p", Tensor::scalar(0.0));
         let tape = Tape::new();
         p.bind(&tape).scale(0.5).sum().backward();
-        let pre = clip_grad_norm(&[p.clone()], 10.0);
+        let pre = clip_grad_norm(std::slice::from_ref(&p), 10.0);
         assert!((pre - 0.5).abs() < 1e-6);
         assert!((p.grad().item() - 0.5).abs() < 1e-6);
     }

@@ -32,9 +32,8 @@
 
 use a3cs_check::Report;
 use a3cs_core::{
-    preflight, CheckpointFormat, CoSearch, CoSearchConfig, CoSearchResult, DegradationLadder,
-    DurabilityConfig, FaultPlan, GuardedRun, RobustnessEventKind, RobustnessLog, SearchError,
-    StepOutcome,
+    preflight, CoSearch, CoSearchConfig, CoSearchResult, DegradationLadder, DurabilityConfig,
+    FaultPlan, GuardedRun, RobustnessEventKind, RobustnessLog, SearchError, StepOutcome,
 };
 use a3cs_drl::EnvFactory;
 use a3cs_envs::Environment;
@@ -191,16 +190,11 @@ pub struct FleetConfig {
     /// namespaced store at `<root>/session-<id>`, enabling restart and
     /// resume.
     pub checkpoint_root: Option<PathBuf>,
-    /// Checkpoint encoding applied to every fleet session
-    /// ([`CheckpointFormat::Binary`] by default — the compact codec).
-    pub checkpoint_format: CheckpointFormat,
     /// Drop a session's injected-fault plan when restarting it, so a
     /// deterministic once-per-run fault does not re-fire on every attempt.
     pub clear_fault_plan_on_restart: bool,
-    /// Checkpoint durability knobs applied to every fleet session. Delta
-    /// frames are **on** by default here (unlike solo runs): a fleet
-    /// checkpoints many sessions against one disk, so the incremental
-    /// format's byte savings compound, and resumes scrub the store first.
+    /// Checkpoint durability knobs applied to every fleet session (delta
+    /// chains of up to 16 frames by default, as for solo runs).
     pub durability: DurabilityConfig,
 }
 
@@ -214,12 +208,8 @@ impl Default for FleetConfig {
             ladder_fault_threshold: 4,
             scheduler_seed: 0,
             checkpoint_root: None,
-            checkpoint_format: CheckpointFormat::Binary,
             clear_fault_plan_on_restart: true,
-            durability: DurabilityConfig {
-                delta: true,
-                ..DurabilityConfig::default()
-            },
+            durability: DurabilityConfig::default(),
         }
     }
 }
@@ -396,9 +386,9 @@ impl<'f> Fleet<'f> {
     ///
     /// The config is normalised for fleet execution: `threads` is cleared
     /// (sessions share the fleet pool and must not reconfigure the global
-    /// one), the fleet's [`FleetConfig::checkpoint_format`] is applied,
-    /// and — when [`FleetConfig::checkpoint_root`] is set and the session
-    /// has no explicit dir — the checkpoint store is namespaced to
+    /// one), the fleet's [`FleetConfig::durability`] is applied, and —
+    /// when [`FleetConfig::checkpoint_root`] is set and the session has no
+    /// explicit dir — the checkpoint store is namespaced to
     /// `<root>/session-<id>`. None of this changes the search trajectory,
     /// so the session stays bit-identical to a solo run of `cfg`.
     ///
@@ -418,7 +408,6 @@ impl<'f> Fleet<'f> {
         }
         let id = SessionId(self.sessions.len() as u64);
         cfg.threads = None;
-        cfg.fault.format = self.config.checkpoint_format;
         cfg.fault.durability = self.config.durability;
         if cfg.fault.checkpoint_dir.is_none() {
             if let Some(root) = &self.config.checkpoint_root {

@@ -136,6 +136,7 @@ fn resume_falls_back_past_corrupted_checkpoints() {
     let mut cfg = tiny_config(300);
     cfg.fault.checkpoint_dir = Some(dir.clone());
     cfg.fault.keep = 3;
+    cfg.fault.durability.max_chain_len = 0;
     cfg.fault.plan = FaultPlan::none()
         .truncate_checkpoint_at(4, 10)
         .flip_checkpoint_byte_at(5, 40)
@@ -162,6 +163,48 @@ fn resume_falls_back_past_corrupted_checkpoints() {
 }
 
 #[test]
+fn pre_frame_checkpoints_are_skipped_and_quarantined() {
+    let reference = cosearch(tiny_config(300), 9).run(&factory, None);
+
+    // Builds before frame-only checkpoints sealed the raw payload (JSON or
+    // A3CSBIN2) into `ckpt-*.json`. Such a file is not a base frame: the
+    // resume must skip and quarantine it, then start fresh.
+    let legacy: [(&str, &[u8]); 2] = [
+        ("json", br#"{"version":2,"fingerprint":"0000000000000000"}"#),
+        ("binary", b"A3CSBIN2\x02\x00\x00\x00raw search checkpoint"),
+    ];
+    for (name, payload) in legacy {
+        let dir = test_dir(&format!("pre_frame_{name}"));
+        std::fs::create_dir_all(&dir).expect("store dir");
+        std::fs::write(
+            dir.join("ckpt-000000000005.json"),
+            a3cs::drl::seal_envelope_bytes(payload),
+        )
+        .expect("seed the store");
+        let mut cfg = tiny_config(300);
+        cfg.fault.checkpoint_dir = Some(dir.clone());
+        let result = cosearch(cfg, 9)
+            .run_guarded(&factory, None)
+            .expect("fresh run completes");
+        let log = &result.robustness;
+        assert_eq!(
+            log.count(RobustnessEventKind::CorruptCheckpointSkipped),
+            1,
+            "{name}: {:?}",
+            log.events
+        );
+        assert_eq!(
+            log.count(RobustnessEventKind::CheckpointQuarantined),
+            1,
+            "{name}"
+        );
+        assert_eq!(log.count(RobustnessEventKind::Resumed), 0, "{name}");
+        assert_results_bit_identical(&reference, &result);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 #[should_panic(expected = "schedules an abort")]
 fn run_rejects_abort_plans() {
     let mut cfg = tiny_config(100);
@@ -174,7 +217,6 @@ fn run_rejects_abort_plans() {
 fn delta_config(total_steps: u64, dir: &PathBuf) -> CoSearchConfig {
     let mut cfg = tiny_config(total_steps);
     cfg.fault.checkpoint_dir = Some(dir.clone());
-    cfg.fault.durability.delta = true;
     cfg
 }
 

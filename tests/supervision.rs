@@ -98,9 +98,9 @@ fn env_panic_retries_the_rollout_phase_bit_identically() {
     let reference = cosearch(tiny_config(300), 17).run(&factory, None);
 
     // Environment lane 1 panics mid-collect at iteration 4. The phase
-    // supervisor catches the unwind, restores the phase-entry snapshot and
-    // replays the rollout — the injection is one-shot, so the replay is
-    // clean and the trajectory is unchanged.
+    // supervisor catches the unwind, restores the iteration-entry snapshot
+    // and replays the iteration — the injection is one-shot, so the replay
+    // is clean and the trajectory is unchanged.
     let mut cfg = tiny_config(300);
     cfg.fault.plan = FaultPlan::none().env_panic_at(1, 4);
     let result = cosearch(cfg, 17)
@@ -118,6 +118,34 @@ fn env_panic_retries_the_rollout_phase_bit_identically() {
     assert_eq!(log.count(RobustnessEventKind::PhaseRetried), 1);
     assert_eq!(log.count(RobustnessEventKind::RetriesExhausted), 0);
     assert_eq!(log.count(RobustnessEventKind::Resumed), 0);
+    assert_results_bit_identical(&reference, &result);
+}
+
+#[test]
+fn eval_panic_replays_the_iteration_bit_identically() {
+    let _guard = lock();
+    let reference = cosearch(tiny_config(300), 13).run(&factory, None);
+
+    // Eval steps its lanes in a `parallel_chunks_mut` region, so a worker
+    // panic armed there escapes the pool and fails the phase. Eval runs
+    // after the iteration counter advances, so the replay from the
+    // iteration entry must rewind the counter as well as the state.
+    let mut cfg = tiny_config(300);
+    cfg.threads = Some(2);
+    cfg.fault.plan = FaultPlan::none().worker_panic_at("eval", 5);
+    let result = cosearch(cfg, 13)
+        .run_guarded(&factory, None)
+        .expect("retried eval panic must not fail the run");
+
+    let log = &result.robustness;
+    assert_eq!(log.count(RobustnessEventKind::FaultInjected), 1);
+    assert_eq!(
+        log.count(RobustnessEventKind::PhaseFailed),
+        1,
+        "events: {:?}",
+        log.events
+    );
+    assert_eq!(log.count(RobustnessEventKind::PhaseRetried), 1);
     assert_results_bit_identical(&reference, &result);
 }
 
