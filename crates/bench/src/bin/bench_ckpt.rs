@@ -27,8 +27,8 @@
 use a3cs_bench::report::{or_exit, status, warn};
 use a3cs_core::{CoSearch, CoSearchConfig, FaultConfig, FaultPlan};
 use a3cs_drl::{
-    apply_delta_frame, decode_base_frame, encode_base_frame, encode_delta_frame, fnv1a64,
-    unseal_envelope_bytes, CheckpointStore, StdIo,
+    apply_delta_frame, decode_base_frame, encode_base_frame, encode_delta_frame, sum64,
+    unseal_envelope_bytes, ChainLink, CheckpointStore, StdIo,
 };
 use a3cs_envs::{Breakout, Environment};
 use serde::Serialize;
@@ -105,19 +105,15 @@ fn main() {
         std::process::exit(1);
     };
     let base_payload = or_exit(decode_base_frame(&read_frame(base_path)));
-    let chain_id = fnv1a64(&base_payload);
+    let mut link = ChainLink::first(sum64(&base_payload));
     let mut payloads = vec![base_payload];
-    for (position, (_, delta_path)) in store.delta_candidates().iter().enumerate() {
+    for (_, delta_path) in store.delta_candidates() {
         if payloads.len() > DELTAS {
             break;
         }
-        let parent = &payloads[payloads.len() - 1];
-        let target = or_exit(apply_delta_frame(
-            &read_frame(delta_path),
-            parent,
-            chain_id,
-            position as u32 + 1,
-        ));
+        let mut target = payloads[payloads.len() - 1].clone();
+        let target_sum = or_exit(apply_delta_frame(&read_frame(&delta_path), &mut target, link));
+        link = link.next(target_sum);
         payloads.push(target);
     }
     if payloads.len() != DELTAS + 1 {
@@ -147,17 +143,22 @@ fn main() {
     }
     let full_save_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Phase 4: delta leg — compressed base, then compressed XOR deltas.
+    // Phase 4: delta leg — compressed base, then compressed XOR deltas,
+    // each payload hashed once and its sum carried into the next link, as
+    // the co-search writer does.
     let delta_dir = bench_dir("delta");
     let delta_store = CheckpointStore::new(delta_dir.clone(), keep);
     let t0 = Instant::now();
     let (_, delta_base_bytes) =
         or_exit(delta_store.write_base_frame(&mut io, 0, &encode_base_frame(&payloads[0])));
+    let mut link = ChainLink::first(sum64(&payloads[0]));
     let mut delta_frame_bytes = 0u64;
     for (i, pair) in payloads.windows(2).enumerate() {
-        let frame = encode_delta_frame(&pair[0], &pair[1], chain_id, i as u32 + 1, i as u64);
+        let target_sum = sum64(&pair[1]);
+        let frame = encode_delta_frame(&pair[0], &pair[1], target_sum, link, i as u64);
         let (_, sealed) = or_exit(delta_store.write_delta_frame(&mut io, i as u64 + 1, &frame));
         delta_frame_bytes += sealed;
+        link = link.next(target_sum);
     }
     let delta_save_ms = t0.elapsed().as_secs_f64() * 1e3;
     let delta_bytes = delta_base_bytes + delta_frame_bytes;

@@ -1,9 +1,10 @@
 //! Supervised-execution end-to-end smoke check: run a tiny co-search with
 //! one armed worker panic and one injected stall, and validate that the
 //! supervision layer contained both *in-process* — the lane was
-//! quarantined and respawned, the watchdog flagged the overrun, the
-//! robustness log mirrored live telemetry instants, and the final result
-//! is bit-identical to an undisturbed run. Exits nonzero on any failure,
+//! quarantined and respawned, the watchdog counted the overrun and fired
+//! its live instant without touching the robustness log, the log mirrored
+//! live telemetry instants, and the final result is bit-identical to an
+//! undisturbed run. Exits nonzero on any failure,
 //! so `scripts/check.sh` can use it as a gate.
 //!
 //! ```sh
@@ -88,7 +89,11 @@ fn main() {
 
     status("supervision smoke: same seed with an armed worker panic and a stall\n");
     let session = telemetry::Session::start();
-    let supervised = match or_exit(CoSearch::try_new(cfg, 42)).run_guarded(&factory, None) {
+    let mut stalls = 0;
+    let observed =
+        or_exit(CoSearch::try_new(cfg, 42))
+            .run_guarded_observed(&factory, None, |run| stalls = run.phase_stalls());
+    let supervised = match observed {
         Ok(r) => r,
         Err(e) => {
             let _ = session.finish();
@@ -103,7 +108,6 @@ fn main() {
         (RobustnessEventKind::FaultInjected, "both injections logged"),
         (RobustnessEventKind::LaneQuarantined, "panicking lane quarantined"),
         (RobustnessEventKind::WorkerRespawned, "quarantined worker respawned"),
-        (RobustnessEventKind::PhaseStalled, "stalled rollout flagged"),
     ] {
         if log.count(kind) == 0 {
             problems.push(format!(
@@ -113,12 +117,17 @@ fn main() {
             ));
         }
     }
+    if stalls == 0 {
+        problems.push("the watchdog counted no stall for the stalled rollout".to_owned());
+    }
     // Containment, not restart: the supervisor never saw a phase failure
-    // and nothing resumed from disk.
+    // and nothing resumed from disk. Stalls are counted beside the log,
+    // never in it.
     for kind in [
         RobustnessEventKind::PhaseFailed,
         RobustnessEventKind::RetriesExhausted,
         RobustnessEventKind::Resumed,
+        RobustnessEventKind::PhaseStalled,
     ] {
         if log.count(kind) != 0 {
             problems.push(format!(
@@ -143,7 +152,8 @@ fn main() {
         fail(&problems);
     }
     status(format!(
-        "ok: {} robustness events, faults contained in-process, result bit-identical\n",
+        "ok: {} robustness events, {stalls} stall(s) counted, faults contained in-process, \
+         result bit-identical\n",
         log.events.len()
     ));
 }

@@ -16,6 +16,8 @@
 //! bounds-checked, list lengths are checked against the bytes left before
 //! anything is allocated, and environment-state nesting is bounded, so
 //! crafted input surfaces [`CheckpointError::Parse`], never a panic.
+//! Float lists — nearly all of a payload — are written and read in bulk,
+//! straight between the tensors and a buffer sized by the caller.
 
 use crate::checkpoint::{
     CheckpointError, NamedTensor, SearchCheckpoint, SEARCH_CHECKPOINT_VERSION,
@@ -26,6 +28,7 @@ use a3cs_drl::{OptimizerState, RunnerState};
 use a3cs_envs::EnvState;
 use a3cs_nas::SupernetSearchState;
 use a3cs_tensor::Tensor;
+use std::borrow::Cow;
 
 /// Leading bytes of every binary search checkpoint.
 const MAGIC: &[u8; 8] = b"A3CSSRCH";
@@ -38,7 +41,6 @@ const MAX_ENV_DEPTH: usize = 16;
 
 // --- writer --------------------------------------------------------------
 
-#[derive(Default)]
 struct Writer {
     buf: Vec<u8>,
 }
@@ -83,8 +85,10 @@ impl Writer {
 
     fn f32s(&mut self, xs: &[f32]) {
         self.len(xs.len());
-        for &x in xs {
-            self.f32(x);
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * xs.len(), 0);
+        for (out, x) in self.buf[start..].as_chunks_mut::<4>().0.iter_mut().zip(xs) {
+            *out = x.to_bits().to_le_bytes();
         }
     }
 
@@ -190,8 +194,16 @@ impl<'a> Reader<'a> {
     }
 
     fn f32s(&mut self, what: &str) -> Result<Vec<f32>, CheckpointError> {
+        // `len` bounds `n` by the bytes left, so the slice is in range.
         let n = self.len(4, what)?;
-        (0..n).map(|_| self.f32(what)).collect()
+        let bytes = &self.buf[self.pos..self.pos + 4 * n];
+        self.pos += 4 * n;
+        Ok(bytes
+            .as_chunks::<4>()
+            .0
+            .iter()
+            .map(|b| f32::from_bits(u32::from_le_bytes(*b)))
+            .collect())
     }
 
     fn f64s(&mut self, what: &str) -> Result<Vec<f64>, CheckpointError> {
@@ -242,19 +254,22 @@ impl<'a> Reader<'a> {
 
 // --- per-field framing ---------------------------------------------------
 
-fn put_tensor(w: &mut Writer, t: &NamedTensor) {
+fn put_tensor(w: &mut Writer, t: &NamedTensor<'_>) {
     w.str(&t.name);
     w.usizes(t.value.shape());
     w.f32s(t.value.data());
 }
 
-fn get_tensor(r: &mut Reader<'_>) -> Result<NamedTensor, CheckpointError> {
+fn get_tensor(r: &mut Reader<'_>) -> Result<NamedTensor<'static>, CheckpointError> {
     let name = r.str("tensor name")?;
     let shape = r.usizes("tensor shape")?;
     let data = r.f32s("tensor data")?;
     let value = Tensor::from_vec(data, &shape)
         .map_err(|e| parse_error(format_args!("tensor {name:?}: {e}")))?;
-    Ok(NamedTensor { name, value })
+    Ok(NamedTensor {
+        name: Cow::Owned(name),
+        value: Cow::Owned(value),
+    })
 }
 
 fn put_env(w: &mut Writer, e: &EnvState) {
@@ -297,7 +312,7 @@ fn get_runner(r: &mut Reader<'_>) -> Result<RunnerState, CheckpointError> {
     })
 }
 
-fn put_optim(w: &mut Writer, o: &OptimizerState) {
+fn put_optim(w: &mut Writer, o: &OptimizerState<'_>) {
     w.str(&o.kind);
     w.f32(o.lr);
     w.list(&o.keys, |w, (name, shape)| {
@@ -308,19 +323,19 @@ fn put_optim(w: &mut Writer, o: &OptimizerState) {
     w.f64s(&o.scalars);
 }
 
-fn get_optim(r: &mut Reader<'_>) -> Result<OptimizerState, CheckpointError> {
+fn get_optim(r: &mut Reader<'_>) -> Result<OptimizerState<'static>, CheckpointError> {
     Ok(OptimizerState {
-        kind: r.str("optimizer kind")?,
+        kind: Cow::Owned(r.str("optimizer kind")?),
         lr: r.f32("optimizer lr")?,
         keys: r.list("optimizer keys", |r| {
             Ok((
-                r.str("optimizer key name")?,
-                r.usizes("optimizer key shape")?,
+                Cow::Owned(r.str("optimizer key name")?),
+                Cow::Owned(r.usizes("optimizer key shape")?),
             ))
         })?,
         slots: r.list("optimizer slots", |r| {
             r.list("optimizer slot buffers", |r| {
-                r.f32s("optimizer slot buffer")
+                Ok(Cow::Owned(r.f32s("optimizer slot buffer")?))
             })
         })?,
         scalars: r.f64s("optimizer scalars")?,
@@ -410,8 +425,12 @@ fn get_event(r: &mut Reader<'_>) -> Result<RobustnessEvent, CheckpointError> {
 
 // --- whole-checkpoint framing --------------------------------------------
 
-pub(crate) fn encode(ck: &SearchCheckpoint) -> Vec<u8> {
-    let mut w = Writer::default();
+/// Encode `ck` into a buffer reserved for `capacity` bytes (the caller's
+/// estimate of the payload length; the buffer grows past it if needed).
+pub(crate) fn encode(ck: &SearchCheckpoint<'_>, capacity: usize) -> Vec<u8> {
+    let mut w = Writer {
+        buf: Vec::with_capacity(capacity),
+    };
     w.buf.extend_from_slice(MAGIC);
     w.u32(SEARCH_CHECKPOINT_VERSION);
     w.str(&ck.fingerprint);
@@ -442,7 +461,7 @@ pub(crate) fn encode(ck: &SearchCheckpoint) -> Vec<u8> {
     w.buf
 }
 
-pub(crate) fn decode(payload: &[u8]) -> Result<SearchCheckpoint, CheckpointError> {
+pub(crate) fn decode(payload: &[u8]) -> Result<SearchCheckpoint<'static>, CheckpointError> {
     if !payload.starts_with(MAGIC) {
         return Err(parse_error(
             "payload does not start with the checkpoint magic",
@@ -461,7 +480,7 @@ pub(crate) fn decode(payload: &[u8]) -> Result<SearchCheckpoint, CheckpointError
     // Struct literal fields evaluate in the order written, which is what
     // keeps these reads in encode order.
     let ck = SearchCheckpoint {
-        fingerprint: r.str("fingerprint")?,
+        fingerprint: Cow::Owned(r.str("fingerprint")?),
         seed: r.u64("seed")?,
         steps: r.u64("steps")?,
         iteration: r.u64("iteration")?,

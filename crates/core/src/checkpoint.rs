@@ -11,17 +11,22 @@
 //!
 //! The snapshot holds the crates' own export types ([`OptimizerState`],
 //! [`DasState`], [`RunnerState`], [`SupernetSearchState`]) plus named
-//! tensors, so capture and restore are plain clones. The one on-disk
+//! tensors. At capture the tensors, optimiser buffers and fingerprint are
+//! borrowed from the live search and encoded in place, so the iteration's
+//! snapshot is its encoded payload; restore decodes that payload into an
+//! owned checkpoint and moves its tensors into the model. The one
 //! encoding is the binary frame in [`crate::binfmt`], which writes every
 //! float as its raw bits: NaN payloads and negative zeros survive exactly.
 
 use crate::config::CoSearchConfig;
 use crate::robustness::RobustnessEvent;
 use a3cs_accel::DasState;
-use a3cs_drl::{fnv1a64, OptimizerState, RunnerState};
+use a3cs_drl::{sum64, OptimizerState, RunnerState};
 use a3cs_nas::SupernetSearchState;
 use a3cs_nn::Param;
 use a3cs_tensor::Tensor;
+use std::borrow::Cow;
+use std::cell::Ref;
 use std::fmt;
 
 /// Format version of [`SearchCheckpoint`]. Bumped on any layout change;
@@ -61,20 +66,21 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// One named tensor (parameter or non-learnable state buffer).
+/// One named tensor (parameter or non-learnable state buffer), borrowed
+/// from the model at capture and owned after decode.
 #[derive(Debug, Clone)]
-pub(crate) struct NamedTensor {
-    pub(crate) name: String,
-    pub(crate) value: Tensor,
+pub(crate) struct NamedTensor<'a> {
+    pub(crate) name: Cow<'a, str>,
+    pub(crate) value: Cow<'a, Tensor>,
 }
 
 /// A complete snapshot of the co-search loop state, taken at an iteration
 /// boundary. See the module docs for what it covers.
 #[derive(Debug, Clone)]
-pub struct SearchCheckpoint {
-    /// FNV-1a fingerprint of the producing configuration (fault plan and
-    /// thread count excluded — neither changes the trajectory).
-    pub(crate) fingerprint: String,
+pub struct SearchCheckpoint<'a> {
+    /// [`config_fingerprint`] of the producing configuration (fault plan
+    /// and thread count excluded — neither changes the trajectory).
+    pub(crate) fingerprint: Cow<'a, str>,
     pub(crate) seed: u64,
     pub(crate) steps: u64,
     pub(crate) iteration: u64,
@@ -82,12 +88,12 @@ pub struct SearchCheckpoint {
     pub(crate) score_curve: Vec<(u64, f32)>,
     pub(crate) entropy_curve: Vec<(u64, f32)>,
     /// Learnable parameters of the agent (supernet weights + heads).
-    pub(crate) weight_params: Vec<NamedTensor>,
+    pub(crate) weight_params: Vec<NamedTensor<'a>>,
     /// Non-learnable state tensors (e.g. batch-norm running statistics).
-    pub(crate) state_tensors: Vec<NamedTensor>,
+    pub(crate) state_tensors: Vec<NamedTensor<'a>>,
     pub(crate) supernet: SupernetSearchState,
-    pub(crate) weight_opt: OptimizerState,
-    pub(crate) alpha_opt: OptimizerState,
+    pub(crate) weight_opt: OptimizerState<'a>,
+    pub(crate) alpha_opt: OptimizerState<'a>,
     pub(crate) das: DasState,
     pub(crate) train_runner: RunnerState,
     pub(crate) val_runner: Option<RunnerState>,
@@ -96,20 +102,21 @@ pub struct SearchCheckpoint {
     pub(crate) events: Vec<RobustnessEvent>,
 }
 
-impl SearchCheckpoint {
+impl SearchCheckpoint<'_> {
     /// Serialise to the binary payload the checkpoint store frames.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        crate::binfmt::encode(self)
+        crate::binfmt::encode(self, 0)
     }
 
-    /// Parse a payload written by [`SearchCheckpoint::to_bytes`].
+    /// Parse a payload written by [`SearchCheckpoint::to_bytes`] into a
+    /// checkpoint that owns all of its data.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Parse`] on a malformed payload or a version
     /// mismatch.
-    pub fn decode(payload: &[u8]) -> Result<Self, CheckpointError> {
+    pub fn decode(payload: &[u8]) -> Result<SearchCheckpoint<'static>, CheckpointError> {
         crate::binfmt::decode(payload)
     }
 
@@ -126,7 +133,7 @@ impl SearchCheckpoint {
     }
 }
 
-/// Identity of a run for resume-compatibility checks: an FNV-1a hash over
+/// Identity of a run for resume-compatibility checks: a [`sum64`] over
 /// the configuration with the fault plan and thread count normalised out
 /// (neither affects the search trajectory).
 #[must_use]
@@ -134,21 +141,27 @@ pub fn config_fingerprint(config: &CoSearchConfig) -> String {
     let mut normalized = config.clone();
     normalized.threads = None;
     normalized.fault = crate::fault::FaultConfig::default();
-    format!("{:016x}", fnv1a64(format!("{normalized:?}").as_bytes()))
+    format!("{:016x}", sum64(format!("{normalized:?}").as_bytes()))
 }
 
-pub(crate) fn capture_tensors(params: &[Param]) -> Vec<NamedTensor> {
+/// Name each of `params` with the value borrowed in `values` (one
+/// [`Param::value_ref`] per parameter, in order), for in-place encoding.
+pub(crate) fn named_tensors<'a>(
+    params: &'a [Param],
+    values: &'a [Ref<'a, Tensor>],
+) -> Vec<NamedTensor<'a>> {
     params
         .iter()
-        .map(|p| NamedTensor {
-            name: p.name().to_owned(),
-            value: p.value(),
+        .zip(values)
+        .map(|(p, value)| NamedTensor {
+            name: Cow::Borrowed(p.name()),
+            value: Cow::Borrowed(&**value),
         })
         .collect()
 }
 
 pub(crate) fn apply_tensors(
-    tensors: &[NamedTensor],
+    tensors: Vec<NamedTensor<'_>>,
     params: &[Param],
     what: &str,
 ) -> Result<(), CheckpointError> {
@@ -171,8 +184,8 @@ pub(crate) fn apply_tensors(
             )));
         }
     }
-    for (t, p) in tensors.iter().zip(params) {
-        p.set_value(t.value.clone());
+    for (t, p) in tensors.into_iter().zip(params) {
+        p.set_value(t.value.into_owned());
     }
     Ok(())
 }
@@ -184,13 +197,13 @@ mod tests {
     use a3cs_envs::EnvState;
     use proptest::prelude::*;
 
-    fn tensor_strategy() -> impl Strategy<Value = NamedTensor> {
+    fn tensor_strategy() -> impl Strategy<Value = NamedTensor<'static>> {
         (1usize..5, prop::collection::vec(any::<u32>(), 1..6)).prop_map(|(d, bits)| {
             let n = bits.len();
             let data = bits.into_iter().map(f32::from_bits).collect();
             NamedTensor {
-                name: format!("t{d}"),
-                value: Tensor::from_vec(data, &[n]).expect("length matches shape"),
+                name: Cow::Owned(format!("t{d}")),
+                value: Cow::Owned(Tensor::from_vec(data, &[n]).expect("length matches shape")),
             }
         })
     }
@@ -211,15 +224,15 @@ mod tests {
     /// optimizer slots, RNG words, f64 scalars, curves, events. Scalar
     /// fields hold fixed values; the strategy below randomises them.
     fn build_checkpoint(
-        tensors: Vec<NamedTensor>,
+        tensors: Vec<NamedTensor<'static>>,
         envs: Vec<EnvState>,
         scalar_bits: Vec<u64>,
-    ) -> SearchCheckpoint {
+    ) -> SearchCheckpoint<'static> {
         let rng = [1, u64::MAX, 3, 1 << 63];
         let scalars: Vec<f64> = scalar_bits.into_iter().map(f64::from_bits).collect();
         let n_envs = envs.len();
         SearchCheckpoint {
-            fingerprint: "deadbeefdeadbeef".to_string(),
+            fingerprint: Cow::Borrowed("deadbeefdeadbeef"),
             seed: 7,
             steps: 300,
             iteration: 15,
@@ -234,14 +247,14 @@ mod tests {
                 step: 300,
             },
             weight_opt: OptimizerState {
-                kind: "rmsprop".to_string(),
+                kind: Cow::Borrowed("rmsprop"),
                 lr: 0.01,
-                keys: vec![("w".to_string(), vec![2])],
-                slots: vec![vec![vec![9.0, 10.0]]],
+                keys: vec![(Cow::Borrowed("w"), Cow::Owned(vec![2]))],
+                slots: vec![vec![Cow::Owned(vec![9.0, 10.0])]],
                 scalars: Vec::new(),
             },
             alpha_opt: OptimizerState {
-                kind: "adam".to_string(),
+                kind: Cow::Borrowed("adam"),
                 lr: 0.01,
                 keys: Vec::new(),
                 slots: vec![Vec::new(), Vec::new()],
@@ -269,7 +282,7 @@ mod tests {
         }
     }
 
-    fn checkpoint_strategy() -> impl Strategy<Value = SearchCheckpoint> {
+    fn checkpoint_strategy() -> impl Strategy<Value = SearchCheckpoint<'static>> {
         (
             (any::<u64>(), any::<u64>()),
             prop::collection::vec(tensor_strategy(), 0..4),
@@ -334,9 +347,11 @@ mod tests {
             Vec::new(),
         );
         let tensor = NamedTensor {
-            name: "w".to_string(),
-            value: Tensor::from_vec(vec![f32::from_bits(nan_bits), f32::NEG_INFINITY], &[2])
-                .expect("shape"),
+            name: Cow::Borrowed("w"),
+            value: Cow::Owned(
+                Tensor::from_vec(vec![f32::from_bits(nan_bits), f32::NEG_INFINITY], &[2])
+                    .expect("shape"),
+            ),
         };
         let mut ck = build_checkpoint(vec![tensor], vec![env], vec![u64::MAX]);
         ck.seed = u64::MAX - 1;

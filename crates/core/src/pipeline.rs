@@ -4,7 +4,7 @@
 //! [`crate::FaultConfig`]).
 
 use crate::checkpoint::{
-    apply_tensors, capture_tensors, config_fingerprint, CheckpointError, SearchCheckpoint,
+    apply_tensors, config_fingerprint, named_tensors, CheckpointError, SearchCheckpoint,
 };
 use crate::config::{CoSearchConfig, DeriveEngine, SearchScheme};
 use crate::fault::{FaultDriver, FaultyIo};
@@ -14,15 +14,16 @@ use crate::supervision::Supervisor;
 use a3cs_accel::{BeamConfig, BeamSearch, DasEngine, PerfModel};
 use a3cs_check::{check_search_setup, check_supernet, max_arch_depth, Report};
 use a3cs_drl::{
-    a2c_losses, clip_grad_norm, encode_base_frame, encode_delta_frame, evaluate, fnv1a64,
-    ActorCritic, Adam, CheckpointStore, DistillConfig, DistillMode, EnvFactory, EvalProtocol,
-    LrSchedule, Optimizer, RmsProp, RolloutRunner, StdIo,
+    a2c_losses, clip_grad_norm, encode_base_frame, encode_delta_frame, evaluate, sum64,
+    ActorCritic, Adam, ChainLink, CheckpointStore, DistillConfig, DistillMode, EnvFactory,
+    EvalProtocol, LrSchedule, Optimizer, RmsProp, RolloutRunner, StdIo,
 };
 use a3cs_envs::wrappers::{ClipReward, EpisodeLimit};
 use a3cs_envs::Environment;
 use a3cs_nas::SuperNet;
 use a3cs_nn::Param;
 use a3cs_tensor::{Tape, Tensor};
+use std::borrow::Cow;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -181,6 +182,8 @@ pub fn preflight(config: &CoSearchConfig) -> Report {
 /// two optimisers (RMSProp for `θ`, Adam for `α` — paper Section V-A).
 pub struct CoSearch {
     config: CoSearchConfig,
+    /// [`config_fingerprint`] of `config`, stamped into every checkpoint.
+    fingerprint: String,
     seed: u64,
     supernet: Rc<SuperNet>,
     agent: ActorCritic,
@@ -225,6 +228,7 @@ impl CoSearch {
         );
         let das = DasEngine::new(config.das.clone(), seed.wrapping_add(2));
         CoSearch {
+            fingerprint: config_fingerprint(&config),
             config,
             seed,
             supernet,
@@ -295,18 +299,24 @@ impl CoSearch {
         }
     }
 
-    /// Snapshot the complete loop state at an iteration boundary.
-    fn capture_checkpoint(&self, st: &RunState) -> SearchCheckpoint {
-        SearchCheckpoint {
-            fingerprint: config_fingerprint(&self.config),
+    /// Encode the complete loop state at an iteration boundary as one
+    /// checkpoint payload. Tensors, optimiser buffers and the fingerprint
+    /// are read in place, so the payload is the only copy; `capacity`
+    /// pre-sizes its buffer.
+    fn capture_checkpoint(&self, st: &RunState, capacity: usize) -> Vec<u8> {
+        let (params, state) = (self.agent.params(), self.agent.state());
+        let param_values: Vec<_> = params.iter().map(Param::value_ref).collect();
+        let state_values: Vec<_> = state.iter().map(Param::value_ref).collect();
+        let ck = SearchCheckpoint {
+            fingerprint: Cow::Borrowed(&self.fingerprint),
             seed: self.seed,
             steps: st.steps,
             iteration: st.iteration,
             next_eval: st.next_eval,
             score_curve: st.score_curve.clone(),
             entropy_curve: st.alpha_entropy_curve.clone(),
-            weight_params: capture_tensors(&self.agent.params()),
-            state_tensors: capture_tensors(&self.agent.state()),
+            weight_params: named_tensors(&params, &param_values),
+            state_tensors: named_tensors(&state, &state_values),
             supernet: self.supernet.export_search_state(),
             weight_opt: st.weight_opt.export_state(),
             alpha_opt: st.alpha_opt.export_state(),
@@ -316,23 +326,24 @@ impl CoSearch {
             lr_scale: st.lr_scale,
             rollbacks_left: st.rollbacks_left,
             events: st.log.events.clone(),
-        }
+        };
+        crate::binfmt::encode(&ck, capacity)
     }
 
-    /// Restore the loop to a captured iteration boundary. On `Err` the
-    /// search/run state may be partially overwritten — callers either
-    /// rebuild from scratch (resume path) or know the checkpoint cannot
-    /// mismatch (in-memory restore path).
+    /// Restore the loop to a captured iteration boundary, moving the
+    /// checkpoint's tensors into the model. On `Err` the search/run state
+    /// may be partially overwritten — callers either rebuild from scratch
+    /// (resume path) or know the checkpoint cannot mismatch (in-memory
+    /// restore path).
     fn apply_checkpoint(
         &mut self,
-        ck: &SearchCheckpoint,
+        ck: SearchCheckpoint<'_>,
         st: &mut RunState,
     ) -> Result<(), CheckpointError> {
-        let expected = config_fingerprint(&self.config);
-        if ck.fingerprint != expected {
+        if ck.fingerprint != self.fingerprint {
             return Err(CheckpointError::Fingerprint {
-                expected,
-                found: ck.fingerprint.clone(),
+                expected: self.fingerprint.clone(),
+                found: ck.fingerprint.into_owned(),
             });
         }
         if ck.seed != self.seed {
@@ -346,8 +357,8 @@ impl CoSearch {
                 "checkpoint and run disagree on the validation runner".to_string(),
             ));
         }
-        apply_tensors(&ck.weight_params, &self.agent.params(), "agent params")?;
-        apply_tensors(&ck.state_tensors, &self.agent.state(), "agent state")?;
+        apply_tensors(ck.weight_params, &self.agent.params(), "agent params")?;
+        apply_tensors(ck.state_tensors, &self.agent.state(), "agent state")?;
         self.supernet
             .import_search_state(&ck.supernet)
             .map_err(|e| CheckpointError::Incompatible(format!("supernet state: {e:?}")))?;
@@ -371,13 +382,11 @@ impl CoSearch {
         st.steps = ck.steps;
         st.iteration = ck.iteration;
         st.next_eval = ck.next_eval;
-        st.score_curve.clone_from(&ck.score_curve);
-        st.alpha_entropy_curve.clone_from(&ck.entropy_curve);
+        st.score_curve = ck.score_curve;
+        st.alpha_entropy_curve = ck.entropy_curve;
         st.lr_scale = ck.lr_scale;
         st.rollbacks_left = ck.rollbacks_left;
-        st.log = RobustnessLog {
-            events: ck.events.clone(),
-        };
+        st.log = RobustnessLog { events: ck.events };
         Ok(())
     }
 
@@ -386,9 +395,12 @@ impl CoSearch {
     /// Without a supervisor this is a plain call. With one, the phase runs
     /// under the supervisor's isolation-mode pool, with any worker panic or
     /// stall the plan schedules for it armed and the stall watchdog
-    /// running. A panic anywhere inside the phase comes back as a
-    /// [`PhaseFailure`]: [`GuardedRun::step`] then restores the
-    /// iteration-entry snapshot and replays the iteration.
+    /// running. The watchdog counts overruns beside the robustness log
+    /// ([`GuardedRun::phase_stalls`]): they are wall-clock observations,
+    /// and the log is part of the result and of every checkpoint. A panic
+    /// anywhere inside the phase comes back as a [`PhaseFailure`]:
+    /// [`GuardedRun::step`] then restores the iteration-entry snapshot and
+    /// replays the iteration.
     fn supervised<T>(
         &mut self,
         st: &mut RunState,
@@ -427,16 +439,6 @@ impl CoSearch {
         }));
         sup.watchdog.disarm();
         sup.timings.record(phase, started.elapsed());
-        for stall in sup.watchdog.drain_stalls() {
-            st.log.push(
-                stall.iteration,
-                RobustnessEventKind::PhaseStalled,
-                format!(
-                    "{} overran its soft deadline of {} ms",
-                    stall.phase, stall.deadline_ms
-                ),
-            );
-        }
         sup.absorb_pool_health(&mut st.log, st.iteration);
         outcome.map_err(|payload| PhaseFailure {
             phase,
@@ -596,7 +598,7 @@ impl CoSearch {
             if let Some((iter, payload)) = recovery.checkpoint {
                 let outcome = SearchCheckpoint::decode(&payload).and_then(|ck| {
                     let prior_events = std::mem::take(&mut st.log.events);
-                    let applied = self.apply_checkpoint(&ck, &mut st);
+                    let applied = self.apply_checkpoint(ck, &mut st);
                     // apply overwrites the log with the checkpoint's events
                     // on success (and leaves it alone on failure): keep the
                     // skip diagnostics either way.
@@ -669,6 +671,7 @@ impl CoSearch {
             bytes_written: 0,
             restore_count,
             chain: None,
+            payload_len: 0,
             delta_frames: 0,
             quarantined,
             logical_bytes: 0,
@@ -715,6 +718,9 @@ pub struct GuardedRun {
     /// next delta frame diffs against. `None` forces a fresh base frame at
     /// the next checkpoint boundary.
     chain: Option<ChainState>,
+    /// Length of the last captured payload, which sizes the next one's
+    /// buffer.
+    payload_len: usize,
     delta_frames: u64,
     quarantined: u64,
     /// Uncompressed payload bytes this run produced (the numerator of the
@@ -724,12 +730,15 @@ pub struct GuardedRun {
 }
 
 /// The writer's view of an open delta chain (DESIGN.md §17): enough to
-/// encode the next delta frame and verify it belongs to this chain.
+/// encode the next delta frame without hashing its parent again.
 struct ChainState {
-    parent_payload: Vec<u8>,
+    /// The chain's tip: the last payload persisted, shared with the entry
+    /// snapshot of the iteration that persisted it.
+    parent: Rc<Vec<u8>>,
     parent_iteration: u64,
-    chain_id: u64,
-    position: u32,
+    /// The link the next delta frame records; its parent sum is the sum
+    /// of `parent`, carried from when `parent` was written.
+    next: ChainLink,
 }
 
 /// A supervised phase that panicked; the iteration replays from its entry.
@@ -741,13 +750,13 @@ struct PhaseFailure {
 impl GuardedRun {
     /// Run one co-search iteration, or conclude that the budget is spent.
     ///
-    /// The iteration starts by capturing at most one [`SearchCheckpoint`]
-    /// — only when the store persists this boundary, or the sentinel or
-    /// supervision is on. That snapshot is the persisted payload, the
-    /// divergence-rollback target and the retry point: a supervised phase
-    /// that panics restores it and replays the whole iteration, which is
-    /// bit-identical because execution is deterministic and injected faults
-    /// fire once.
+    /// The iteration starts by encoding at most one [`SearchCheckpoint`]
+    /// payload — only when the store persists this boundary, or the
+    /// sentinel or supervision is on. That payload is the persisted
+    /// checkpoint, the divergence-rollback target and the retry point: a
+    /// supervised phase that panics restores it by decoding it and replays
+    /// the whole iteration, which is bit-identical because execution is
+    /// deterministic and injected faults fire once.
     ///
     /// A divergence rollback counts as a step: state rewinds to the
     /// iteration entry and [`StepOutcome::Ran`] is returned without the
@@ -792,34 +801,37 @@ impl GuardedRun {
         // never influence it (see DESIGN.md §11).
         let _iteration_span = telemetry::span!("iteration", self.st.iteration);
 
-        // --- iteration entry: the one snapshot, captured only when it will
+        // --- iteration entry: the one snapshot, encoded only when it will
         // be persisted, rolled back to, or retried from.
         let persist =
             self.store.is_some() && self.st.iteration.is_multiple_of(self.checkpoint_every);
         let entry = if persist || self.cfg.fault.sentinel || self.sup.is_some() {
             let _span = telemetry::span!("checkpoint_io");
-            let ck = search.capture_checkpoint(&self.st);
+            // Room for the tail (curves, event log) to grow a little.
+            let capacity = self.payload_len + self.payload_len / 64;
+            let payload = Rc::new(search.capture_checkpoint(&self.st, capacity));
+            self.payload_len = payload.len();
             if persist {
-                self.persist(&ck);
+                self.persist(&payload);
             }
-            Some(ck)
+            Some(payload)
         } else {
             None
         };
+        let entry = entry.as_deref().map(Vec::as_slice);
 
         let mut attempt: u32 = 0;
         loop {
             // Records a replay produces carry its attempt number; the first
             // execution stays untagged so fault-free traces are unchanged.
             let retry = (attempt > 0).then_some(attempt);
-            let outcome = telemetry::with_retry(retry, || {
-                self.iterate(search, factory, teacher, entry.as_ref())
-            });
+            let outcome =
+                telemetry::with_retry(retry, || self.iterate(search, factory, teacher, entry));
             let failure = match outcome {
                 Ok(outcome) => return Ok(outcome),
                 Err(failure) => failure,
             };
-            let (Some(entry), Some(sup)) = (entry.as_ref(), self.sup.as_ref()) else {
+            let (Some(entry), Some(sup)) = (entry, self.sup.as_ref()) else {
                 unreachable!("only a supervised phase fails, and supervision captures the entry")
             };
             let max_retries = sup.max_retries;
@@ -849,7 +861,7 @@ impl GuardedRun {
                 RobustnessEventKind::PhaseRetried,
                 format!(
                     "{phase} failed; replaying iteration {} from its entry (attempt {} of {})",
-                    entry.iteration(),
+                    self.st.iteration,
                     attempt + 1,
                     max_retries + 1
                 ),
@@ -866,7 +878,7 @@ impl GuardedRun {
         search: &mut CoSearch,
         factory: &EnvFactory<'_>,
         teacher: Option<&ActorCritic>,
-        entry: Option<&SearchCheckpoint>,
+        entry: Option<&[u8]>,
     ) -> Result<StepOutcome, PhaseFailure> {
         search.supernet.set_step(self.st.steps);
 
@@ -1022,8 +1034,7 @@ impl GuardedRun {
                         RobustnessEventKind::RolledBack,
                         format!(
                             "to iteration {} after {reason} ({} rollbacks left)",
-                            good.iteration(),
-                            self.st.rollbacks_left
+                            self.st.iteration, self.st.rollbacks_left
                         ),
                     );
                     return Ok(StepOutcome::Ran);
@@ -1075,16 +1086,19 @@ impl GuardedRun {
         })
     }
 
-    /// Rewind the loop to `entry`, this iteration's entry snapshot: the one
-    /// restore path for phase retries and divergence rollbacks alike. The
-    /// event log is monotone and survives the restore. So do the lr scale
-    /// and the rollback budget: a rollback updates them just before it
-    /// restores, and a phase retry finds them unchanged since entry.
-    fn restore(&mut self, search: &mut CoSearch, entry: &SearchCheckpoint) {
+    /// Rewind the loop to `entry`, this iteration's encoded entry snapshot,
+    /// by decoding it: the one restore path for phase retries and
+    /// divergence rollbacks alike. The event log is monotone and survives
+    /// the restore. So do the lr scale and the rollback budget: a rollback
+    /// updates them just before it restores, and a phase retry finds them
+    /// unchanged since entry.
+    fn restore(&mut self, search: &mut CoSearch, entry: &[u8]) {
         let events = std::mem::take(&mut self.st.log.events);
         let (lr_scale, rollbacks_left) = (self.st.lr_scale, self.st.rollbacks_left);
-        if let Err(e) = search.apply_checkpoint(entry, &mut self.st) {
-            unreachable!("a snapshot captured by this run always applies: {e}");
+        let restored = SearchCheckpoint::decode(entry)
+            .and_then(|ck| search.apply_checkpoint(ck, &mut self.st));
+        if let Err(e) = restored {
+            unreachable!("a snapshot encoded by this run always decodes and applies: {e}");
         }
         self.st.log.events = events;
         self.st.lr_scale = lr_scale;
@@ -1093,16 +1107,18 @@ impl GuardedRun {
         search.supernet.set_eval_sampling(true);
     }
 
-    /// Persist `ck` as this iteration's checkpoint: a delta frame against
-    /// the open chain's tip, or a base frame that opens a new chain when
-    /// none is open or the open one reached `max_chain_len`. A failed
-    /// write is logged and closes the chain; it never fails the run.
-    fn persist(&mut self, ck: &SearchCheckpoint) {
+    /// Persist `payload` as this iteration's checkpoint: a delta frame
+    /// against the open chain's tip, or a base frame that opens a new chain
+    /// when none is open or the open one reached `max_chain_len`. The
+    /// payload is hashed once, for the frame's target sum or the new
+    /// chain's id, and that sum is carried as the next delta's parent sum.
+    /// A failed write is logged and closes the chain; it never fails the
+    /// run.
+    fn persist(&mut self, payload: &Rc<Vec<u8>>) {
         let Some(store) = &self.store else {
             return;
         };
         let iteration = self.st.iteration;
-        let payload = ck.to_bytes();
         let logical = payload.len() as u64;
         telemetry::CHECKPOINT_BYTES.add(logical);
         telemetry::CHECKPOINT_BYTES_HIST.record(logical);
@@ -1117,36 +1133,39 @@ impl GuardedRun {
         }
         let mut io = FaultyIo::new(armed);
         let max_chain_len = self.cfg.fault.durability.max_chain_len;
-        let written = match self
-            .chain
+        let sum = sum64(payload);
+        let chain = self.chain.take();
+        let written = match chain
             .as_ref()
-            .filter(|c| (c.position as usize) < max_chain_len)
+            .filter(|c| (c.next.position as usize) <= max_chain_len)
         {
             Some(chain) => {
-                let link = (chain.chain_id, chain.position + 1);
                 let frame = encode_delta_frame(
-                    &chain.parent_payload,
-                    &payload,
-                    link.0,
-                    link.1,
+                    &chain.parent,
+                    payload,
+                    sum,
+                    chain.next,
                     chain.parent_iteration,
                 );
                 store
                     .write_delta_frame(&mut io, iteration, &frame)
-                    .map(|written| (written, Some(link)))
+                    .map(|written| (written, Some(chain.next)))
             }
             None => {
-                if self.chain.take().is_some() {
+                if chain.is_some() {
                     // Inline base roll at max_chain_len: bounds the replay
                     // cost. Routine, so it bumps the compaction counter
                     // without a robustness event.
                     telemetry::CHECKPOINT_COMPACTIONS.add(1);
                 }
                 store
-                    .write_base_frame(&mut io, iteration, &encode_base_frame(&payload))
+                    .write_base_frame(&mut io, iteration, &encode_base_frame(payload))
                     .map(|written| (written, None))
             }
         };
+        // The old tip is no longer needed: a failed write closes the chain,
+        // and a successful one makes this payload the tip.
+        drop(chain);
         match written {
             Ok(((path, on_disk), link)) => {
                 telemetry::CHECKPOINT_BYTES_WRITTEN.add(on_disk);
@@ -1154,20 +1173,19 @@ impl GuardedRun {
                 self.logical_bytes += logical;
                 telemetry::CHECKPOINT_COMPRESSION_RATIO
                     .set(self.logical_bytes as f64 / self.bytes_written as f64);
-                let (chain_id, position) = match link {
+                let next = match link {
                     Some(link) => {
                         telemetry::CHECKPOINT_DELTA_FRAMES.add(1);
                         telemetry::CHECKPOINT_DELTA_BYTES.add(on_disk);
                         self.delta_frames += 1;
-                        link
+                        link.next(sum)
                     }
-                    None => (fnv1a64(&payload), 0),
+                    None => ChainLink::first(sum),
                 };
-                self.chain = (max_chain_len > 0).then_some(ChainState {
-                    parent_payload: payload,
+                self.chain = (max_chain_len > 0).then(|| ChainState {
+                    parent: Rc::clone(payload),
                     parent_iteration: iteration,
-                    chain_id,
-                    position,
+                    next,
                 });
                 for applied in self.driver.corrupt_checkpoint_now(iteration, &path) {
                     self.st
@@ -1179,7 +1197,6 @@ impl GuardedRun {
                 // A failed write leaves the on-disk chain state unknown:
                 // force a fresh base at the next boundary instead of
                 // chaining off a parent that may never have landed.
-                self.chain = None;
                 self.st.log.push(
                     iteration,
                     RobustnessEventKind::CheckpointWriteFailed,
@@ -1314,6 +1331,15 @@ impl GuardedRun {
     #[must_use]
     pub fn checkpoint_quarantined(&self) -> u64 {
         self.quarantined
+    }
+
+    /// Supervised phases that overran the stall watchdog's soft deadline.
+    /// A wall-clock observation, so it is counted here, beside the
+    /// robustness log, and never enters the log, a checkpoint or the
+    /// result. Zero without supervision.
+    #[must_use]
+    pub fn phase_stalls(&self) -> u64 {
+        self.sup.as_ref().map_or(0, |sup| sup.watchdog.stalls())
     }
 }
 

@@ -44,7 +44,11 @@ pub enum RobustnessEventKind {
     /// A failed phase exhausted its retry budget; the run surfaced
     /// [`crate::SearchError::RunAbort`].
     RetriesExhausted,
-    /// A phase overran the stall watchdog's soft deadline.
+    /// A phase overran the stall watchdog's soft deadline. No longer
+    /// emitted: an overrun is a wall-clock observation, counted by
+    /// `GuardedRun::phase_stalls` beside the log, because the log is part
+    /// of the result and of every checkpoint. The kind stays so that the
+    /// index of every later kind, which checkpoints record, is unchanged.
     PhaseStalled,
     /// A pool worker lane panicked and was quarantined (its restartable
     /// chunks, if any, were re-executed on the supervising thread).

@@ -5,10 +5,11 @@
 //!
 //! - [`Watchdog`] — a soft-deadline monitor on its own thread. The
 //!   supervisor arms it at phase entry with a deadline derived from
-//!   [`PhaseTimings`]; if the phase overruns, the watchdog records a stall
-//!   (surfaced later as a `phase-stalled` robustness event) and fires a
-//!   live `watchdog-deadline-exceeded` telemetry instant. It only
-//!   observes — wall-clock jitter can never change the search trajectory.
+//!   [`PhaseTimings`]; if the phase overruns, the watchdog counts a stall
+//!   (read through `GuardedRun::phase_stalls`) and fires a live
+//!   `watchdog-deadline-exceeded` telemetry instant. It only observes —
+//!   wall-clock jitter can never change the search trajectory, the
+//!   robustness log or a checkpoint.
 //! - [`PhaseTimings`] — an exponentially weighted moving average of each
 //!   supervised phase's duration, from which stall deadlines are derived.
 //! - [`DegradationLadder`] — pure bookkeeping that steps the supervised
@@ -21,8 +22,9 @@
 use crate::fault::FaultConfig;
 use crate::robustness::{RobustnessEventKind, RobustnessLog};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use threadpool::ThreadPool;
@@ -30,13 +32,6 @@ use threadpool::ThreadPool;
 /// EWMA smoothing factor for phase durations (recent phases dominate, but a
 /// single slow outlier cannot halve the deadline headroom on its own).
 const EWMA_ALPHA: f64 = 0.3;
-
-fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 // --- stall watchdog ------------------------------------------------------
 
@@ -50,29 +45,21 @@ enum WatchdogMsg {
     Shutdown,
 }
 
-/// One recorded soft-deadline overrun.
-pub(crate) struct StallRecord {
-    pub(crate) phase: &'static str,
-    pub(crate) iteration: u64,
-    pub(crate) deadline_ms: u64,
-}
-
 /// A soft-deadline monitor on a dedicated thread. `arm` starts a countdown
 /// for the current phase; `disarm` cancels it. A countdown that expires
-/// records a [`StallRecord`] (drained by the supervisor after the phase
-/// returns) and fires a live `watchdog-deadline-exceeded` telemetry
+/// counts a stall and fires a live `watchdog-deadline-exceeded` telemetry
 /// instant — the only signal with sub-phase latency, since the phase itself
 /// is still blocked at that moment.
 pub(crate) struct Watchdog {
     tx: Option<Sender<WatchdogMsg>>,
-    stalls: Arc<Mutex<Vec<StallRecord>>>,
+    stalls: Arc<AtomicU64>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl Watchdog {
     pub(crate) fn spawn() -> Watchdog {
         let (tx, rx) = channel();
-        let stalls = Arc::new(Mutex::new(Vec::new()));
+        let stalls = Arc::new(AtomicU64::new(0));
         let shared = Arc::clone(&stalls);
         let handle = std::thread::Builder::new()
             .name("a3cs-watchdog".to_string())
@@ -106,9 +93,10 @@ impl Watchdog {
         }
     }
 
-    /// Take every stall recorded since the last drain.
-    pub(crate) fn drain_stalls(&self) -> Vec<StallRecord> {
-        std::mem::take(&mut *lock_or_recover(&self.stalls))
+    /// Countdowns that expired so far. The count publishes no other data,
+    /// so it is read and written `Relaxed`.
+    pub(crate) fn stalls(&self) -> u64 {
+        self.stalls.load(Ordering::Relaxed)
     }
 }
 
@@ -123,7 +111,7 @@ impl Drop for Watchdog {
     }
 }
 
-fn watchdog_main(rx: &Receiver<WatchdogMsg>, stalls: &Mutex<Vec<StallRecord>>) {
+fn watchdog_main(rx: &Receiver<WatchdogMsg>, stalls: &AtomicU64) {
     loop {
         let armed = match rx.recv() {
             Ok(WatchdogMsg::Arm {
@@ -141,11 +129,7 @@ fn watchdog_main(rx: &Receiver<WatchdogMsg>, stalls: &Mutex<Vec<StallRecord>>) {
             Ok(WatchdogMsg::Shutdown) => return,
             Err(RecvTimeoutError::Timeout) => {
                 let deadline_ms = deadline.as_millis() as u64;
-                lock_or_recover(stalls).push(StallRecord {
-                    phase,
-                    iteration,
-                    deadline_ms,
-                });
+                stalls.fetch_add(1, Ordering::Relaxed);
                 if telemetry::enabled() {
                     telemetry::instant(
                         "watchdog-deadline-exceeded",
@@ -394,14 +378,11 @@ mod tests {
         dog.arm("rollout", 3, Some(Duration::from_millis(20)));
         std::thread::sleep(Duration::from_millis(120));
         dog.disarm();
-        let stalls = dog.drain_stalls();
-        assert_eq!(stalls.len(), 1);
-        assert_eq!(stalls[0].phase, "rollout");
-        assert_eq!(stalls[0].iteration, 3);
-        // A phase that finishes in time records nothing.
+        assert_eq!(dog.stalls(), 1);
+        // A phase that finishes in time counts nothing.
         dog.arm("update", 4, Some(Duration::from_millis(200)));
         dog.disarm();
         std::thread::sleep(Duration::from_millis(30));
-        assert!(dog.drain_stalls().is_empty());
+        assert_eq!(dog.stalls(), 1);
     }
 }

@@ -10,7 +10,9 @@
 //! [`CheckpointStore`], sealed by [`seal_envelope_bytes`].
 
 use crate::agent::ActorCritic;
-use crate::frame::{apply_delta_frame, decode_base_frame, CheckpointIo, StdIo};
+use crate::frame::{
+    apply_delta_frame, decode_base_frame, ChainLink, CheckpointIo, FrameError, StdIo,
+};
 use a3cs_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
@@ -153,27 +155,85 @@ pub fn write_atomic_bytes_with(
     }
 }
 
-/// FNV-1a 64-bit hash — the integrity checksum used by the checkpoint
-/// envelope. Not cryptographic; it detects truncation and bit corruption.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// Odd multipliers of the checksum (the 64-bit primes of xxHash64).
+const SUM_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const SUM_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const SUM_P3: u64 = 0x1656_67b1_9e37_79f9;
+
+/// One word step of a checksum lane. For a fixed lane it is injective in
+/// `word`, and for a fixed `word` it is a bijection of the lane, so a
+/// word that differs leaves its lane different through every later step.
+fn sum_round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(SUM_P2))
+        .rotate_left(31)
+        .wrapping_mul(SUM_P1)
 }
 
-/// Magic/version prefix of the checkpoint envelope header line.
-const ENVELOPE_MAGIC: &str = "A3CS-CKPT v2";
+/// The checkpoint checksum: the envelope's `sum64`, chain ids, delta
+/// frame sums and the config fingerprint.
+///
+/// Four independent lanes consume the input as little-endian `u64` words,
+/// one word per lane per 32-byte stripe, so the lanes' multiplies overlap
+/// and the sum runs at memory speed. The lanes are then folded into one
+/// value together with the length, the remaining words and the
+/// zero-padded tail bytes go through the same word step, and a final
+/// avalanche mixes the result. Every step is a bijection of the running
+/// value, so flipping any single bit of the input changes the sum; inputs
+/// of different lengths differ in the folded length. Not cryptographic:
+/// it detects truncation and corruption, not tampering.
+#[must_use]
+pub fn sum64(bytes: &[u8]) -> u64 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let (stripes, rest) = words.as_chunks::<4>();
+    let mut lanes = [
+        SUM_P1.wrapping_add(SUM_P2),
+        SUM_P2,
+        0,
+        SUM_P1.wrapping_neg(),
+    ];
+    for &[w0, w1, w2, w3] in stripes {
+        lanes = [
+            sum_round(lanes[0], u64::from_le_bytes(w0)),
+            sum_round(lanes[1], u64::from_le_bytes(w1)),
+            sum_round(lanes[2], u64::from_le_bytes(w2)),
+            sum_round(lanes[3], u64::from_le_bytes(w3)),
+        ];
+    }
+    let folded = lanes
+        .iter()
+        .zip([1, 7, 12, 18])
+        .fold(0u64, |acc, (&lane, r)| {
+            acc.wrapping_add(lane.rotate_left(r))
+        });
+    let len = u64::try_from(bytes.len()).unwrap_or(u64::MAX);
+    let mut sum = rest.iter().fold(folded.wrapping_add(len), |acc, word| {
+        sum_round(acc, u64::from_le_bytes(*word))
+    });
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        sum = sum_round(sum, u64::from_le_bytes(word));
+    }
+    sum ^= sum >> 33;
+    sum = sum.wrapping_mul(SUM_P2);
+    sum ^= sum >> 29;
+    sum = sum.wrapping_mul(SUM_P3);
+    sum ^ (sum >> 32)
+}
+
+/// Magic/version prefix of the checkpoint envelope header line. Version 3
+/// carries [`sum64`]; envelopes of older versions are malformed, so their
+/// files are skipped and quarantined.
+const ENVELOPE_MAGIC: &str = "A3CS-CKPT v3";
 
 /// Wrap `payload` in the checkpoint envelope: a single ASCII header line
-/// `A3CS-CKPT v2 fnv1a=<16 hex digits>` followed by the payload bytes
+/// `A3CS-CKPT v3 sum64=<16 hex digits>` followed by the payload bytes
 /// verbatim. [`unseal_envelope_bytes`] verifies the checksum over them.
 #[must_use]
 pub fn seal_envelope_bytes(payload: &[u8]) -> Vec<u8> {
-    let mut sealed = format!("{ENVELOPE_MAGIC} fnv1a={:016x}\n", fnv1a64(payload)).into_bytes();
+    let header = format!("{ENVELOPE_MAGIC} sum64={:016x}\n", sum64(payload));
+    let mut sealed = Vec::with_capacity(header.len() + payload.len());
+    sealed.extend_from_slice(header.as_bytes());
     sealed.extend_from_slice(payload);
     sealed
 }
@@ -238,9 +298,9 @@ pub fn unseal_envelope_bytes(bytes: &[u8]) -> Result<&[u8], EnvelopeError> {
             detail: format!("header {header:?} does not start with {ENVELOPE_MAGIC:?}"),
         });
     };
-    let Some(hex) = rest.trim().strip_prefix("fnv1a=") else {
+    let Some(hex) = rest.trim().strip_prefix("sum64=") else {
         return Err(EnvelopeError::Malformed {
-            detail: format!("header {header:?} lacks a fnv1a= checksum"),
+            detail: format!("header {header:?} lacks a sum64= checksum"),
         });
     };
     let Ok(stored) = u64::from_str_radix(hex, 16) else {
@@ -248,7 +308,7 @@ pub fn unseal_envelope_bytes(bytes: &[u8]) -> Result<&[u8], EnvelopeError> {
             detail: format!("unparsable checksum {hex:?}"),
         });
     };
-    let computed = fnv1a64(payload);
+    let computed = sum64(payload);
     if stored != computed {
         return Err(EnvelopeError::Checksum { stored, computed });
     }
@@ -437,12 +497,16 @@ impl CheckpointStore {
         }
     }
 
-    /// Read and verify one sealed frame file, returning the frame bytes.
-    fn read_sealed(path: &Path) -> Result<Vec<u8>, String> {
+    /// Read one sealed frame file, verify its envelope and hand the frame
+    /// to `parse`; any failure is described with the file's path.
+    fn parse_sealed<T>(
+        path: &Path,
+        parse: impl FnOnce(&[u8]) -> Result<T, FrameError>,
+    ) -> Result<T, String> {
         let bytes = fs::read(path).map_err(|e| format!("{}: unreadable: {e}", path.display()))?;
-        unseal_envelope_bytes(&bytes)
-            .map(<[u8]>::to_vec)
-            .map_err(|e| format!("{}: {e}", path.display()))
+        let frame =
+            unseal_envelope_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
+        parse(frame).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Recover the newest checkpoint payload that verifies end to end, and
@@ -451,7 +515,10 @@ impl CheckpointStore {
     /// Bases are walked newest-first. Each base is decoded and its deltas
     /// (every delta strictly newer than it and strictly older than the next
     /// newer base) replayed in order, verifying chain id, position, parent
-    /// checksum and target checksum at every link. The first base that
+    /// checksum and target checksum at every link. Sums are carried along
+    /// the chain: each link hashes only the payload it reconstructs, and
+    /// its parent sum is checked against the previous link's target sum
+    /// (the base's sum, the chain id, at position 1). The first base that
     /// decodes is the recovery: its replay stops at the verified prefix (a
     /// broken link is recorded in [`Recovery::fallbacks`]), and every newer
     /// base that failed is recorded in [`Recovery::skipped`]. Older chains
@@ -471,10 +538,7 @@ impl CheckpointStore {
             let chain_deltas = deltas
                 .iter()
                 .filter(|(i, _)| *i > *base_iter && next_base.is_none_or(|nb| *i < nb));
-            let base = Self::read_sealed(base_path).and_then(|frame| {
-                decode_base_frame(&frame).map_err(|e| format!("{}: {e}", base_path.display()))
-            });
-            let mut current = match base {
+            let mut current = match Self::parse_sealed(base_path, decode_base_frame) {
                 Ok(payload) => payload,
                 Err(e) => {
                     if recovery.checkpoint.is_none() {
@@ -488,9 +552,8 @@ impl CheckpointStore {
                 }
             };
             let recovering = recovery.checkpoint.is_none();
-            let chain_id = fnv1a64(&current);
+            let mut link = ChainLink::first(sum64(&current));
             let mut tip = *base_iter;
-            let mut position = 1u32;
             let mut broken = false;
             for (d_iter, d_path) in chain_deltas {
                 if broken {
@@ -498,19 +561,15 @@ impl CheckpointStore {
                     quarantine(io, d_path, reason, &mut recovery.quarantined);
                     continue;
                 }
-                let applied = Self::read_sealed(d_path).and_then(|f| {
-                    apply_delta_frame(&f, &current, chain_id, position)
-                        .map_err(|e| format!("{}: {e}", d_path.display()))
-                });
-                match applied {
-                    Ok(target) => {
-                        current = target;
+                match Self::parse_sealed(d_path, |f| apply_delta_frame(f, &mut current, link)) {
+                    Ok(target_sum) => {
                         tip = *d_iter;
-                        position += 1;
+                        link = link.next(target_sum);
                     }
                     Err(e) => {
-                        // Later deltas in this chain cannot verify either;
-                        // recovery resumes from the longest verified prefix.
+                        // A failed apply leaves `current` at the verified
+                        // prefix, and later deltas in this chain cannot
+                        // verify either: recovery resumes from the prefix.
                         if recovering {
                             recovery.fallbacks.push(e.clone());
                         }
@@ -645,6 +704,41 @@ mod tests {
     use super::*;
     use crate::frame::{encode_base_frame, encode_delta_frame};
     use a3cs_nn::vanilla;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Flipping any single bit of a payload, or dropping any non-empty
+        /// suffix, changes its sum — at lengths of whole stripes, whole
+        /// words and ragged tails alike.
+        #[test]
+        fn sum64_changes_on_any_bit_flip_or_dropped_suffix(
+            payload in prop::collection::vec(any::<u8>(), 0..2048),
+        ) {
+            let sum = sum64(&payload);
+            let mut flipped = payload.clone();
+            for bit in 0..payload.len() * 8 {
+                flipped[bit / 8] ^= 1u8 << (bit % 8);
+                prop_assert_ne!(sum64(&flipped), sum, "bit {} of {} bytes", bit, payload.len());
+                flipped[bit / 8] ^= 1u8 << (bit % 8);
+            }
+            for cut in 0..payload.len() {
+                prop_assert_ne!(sum64(&payload[..cut]), sum, "prefix of {} bytes", cut);
+            }
+        }
+    }
+
+    #[test]
+    fn sum64_is_pinned_across_builds() {
+        // Chain ids and envelope sums are persisted: the function must not
+        // drift between builds that share the envelope version.
+        // 45 bytes: one stripe, one whole word and a 5-byte tail.
+        let probe: Vec<u8> = (0u8..45).collect();
+        assert_eq!(sum64(b""), 0x9090_306c_6e91_ed59);
+        assert_eq!(sum64(b"a3cs"), 0x5b3a_0017_af56_1cb6);
+        assert_eq!(sum64(&probe), 0xa7a0_2975_f897_5def);
+    }
 
     fn agent(seed: u64) -> ActorCritic {
         let backbone = vanilla(3, 12, 12, 16, seed);
@@ -789,8 +883,11 @@ mod tests {
         write_base(&store, 2, b"good-new");
         // Corrupt the newest on disk (simulating a torn write from a
         // pre-atomic producer or disk corruption).
-        std::fs::write(store.path_for(2), "A3CS-CKPT v2 fnv1a=0000000000000000\nbad")
-            .expect("corrupt");
+        std::fs::write(
+            store.path_for(2),
+            "A3CS-CKPT v3 sum64=0000000000000000\nbad",
+        )
+        .expect("corrupt");
         let rec = walk(&store);
         assert_eq!(rec.checkpoint, Some((1, b"good-old".to_vec())));
         assert_eq!(rec.skipped.len(), 1, "{:?}", rec.skipped);
@@ -876,15 +973,15 @@ mod tests {
     /// through the store API.
     fn write_chain(store: &CheckpointStore, payloads: &[&[u8]]) {
         let base = payloads[0];
-        let chain_id = fnv1a64(base);
         write_base(store, 10, base);
-        let mut parent = base.to_vec();
-        for (i, &target) in payloads.iter().enumerate().skip(1) {
-            let frame = encode_delta_frame(&parent, target, chain_id, i as u32, 10 + i as u64 - 1);
+        let mut link = ChainLink::first(sum64(base));
+        for (i, pair) in payloads.windows(2).enumerate() {
+            let target_sum = sum64(pair[1]);
+            let frame = encode_delta_frame(pair[0], pair[1], target_sum, link, 10 + i as u64);
             store
-                .write_delta_frame(&mut StdIo, 10 + i as u64, &frame)
+                .write_delta_frame(&mut StdIo, 11 + i as u64, &frame)
                 .expect("delta");
-            parent = target.to_vec();
+            link = link.next(target_sum);
         }
     }
 
@@ -979,7 +1076,8 @@ mod tests {
         write_chain(&store, &[b"old-base", b"old-tip!"]); // base 10, delta 11
         // A new base at 20 with keep=1 must remove base 10 *and* delta 11.
         write_base(&store, 20, b"new-base");
-        let frame = encode_delta_frame(b"new-base", b"new-tip!", fnv1a64(b"new-base"), 1, 20);
+        let link = ChainLink::first(sum64(b"new-base"));
+        let frame = encode_delta_frame(b"new-base", b"new-tip!", sum64(b"new-tip!"), link, 20);
         store.write_delta_frame(&mut StdIo, 21, &frame).expect("delta");
         assert_eq!(store.candidates().len(), 1);
         assert_eq!(store.delta_candidates().len(), 1);

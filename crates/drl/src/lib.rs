@@ -49,15 +49,14 @@ mod trainer;
 pub use a2c::{a2c_losses, A2cConfig, LossStats};
 pub use agent::ActorCritic;
 pub use checkpoint::{
-    fnv1a64, seal_envelope_bytes, unseal_envelope_bytes, write_atomic_bytes,
-    write_atomic_bytes_with, Checkpoint, CheckpointStore, EnvelopeError, LoadCheckpointError,
-    Recovery, SaveCheckpointError,
+    seal_envelope_bytes, sum64, unseal_envelope_bytes, write_atomic_bytes, write_atomic_bytes_with,
+    Checkpoint, CheckpointStore, EnvelopeError, LoadCheckpointError, Recovery, SaveCheckpointError,
 };
 pub use distill::{DistillConfig, DistillMode};
 pub use eval::{evaluate, EvalProtocol};
 pub use frame::{
-    apply_delta_frame, decode_base_frame, encode_base_frame, encode_delta_frame, CheckpointIo,
-    FrameError, StdIo,
+    apply_delta_frame, decode_base_frame, encode_base_frame, encode_delta_frame, ChainLink,
+    CheckpointIo, FrameError, StdIo,
 };
 pub use optim::{
     clip_grad_norm, Adam, LrSchedule, OptimStateError, Optimizer, OptimizerState, RmsProp,

@@ -3,6 +3,7 @@
 
 use a3cs_nn::Param;
 use a3cs_tensor::Tensor;
+use std::borrow::Cow;
 
 /// A first-order optimiser over a fixed parameter list.
 pub trait Optimizer {
@@ -18,8 +19,9 @@ pub trait Optimizer {
 
     /// Export the optimiser's complete mutable state — moment buffers,
     /// parameter identity keys, and algorithm scalars — so a checkpoint
-    /// can resume optimisation bit-exactly.
-    fn export_state(&self) -> OptimizerState;
+    /// can resume optimisation bit-exactly. The state borrows the
+    /// optimiser's buffers, so a checkpoint encodes them without a copy.
+    fn export_state(&self) -> OptimizerState<'_>;
 
     /// Restore state captured by [`Optimizer::export_state`] on the same
     /// algorithm.
@@ -29,7 +31,7 @@ pub trait Optimizer {
     /// [`OptimStateError`] when the state was produced by a different
     /// algorithm or its buffers are internally inconsistent; nothing is
     /// modified in that case.
-    fn import_state(&mut self, state: &OptimizerState) -> Result<(), OptimStateError>;
+    fn import_state(&mut self, state: &OptimizerState<'_>) -> Result<(), OptimStateError>;
 }
 
 /// Serialisable snapshot of an optimiser's mutable state.
@@ -38,16 +40,19 @@ pub trait Optimizer {
 /// parameter per moment (RMSProp: one slot, the squared-gradient average;
 /// Adam: two slots, `m` then `v`) and `scalars` holds algorithm counters
 /// (Adam: the running `β1^t`, `β2^t` bias-correction powers).
+///
+/// [`Optimizer::export_state`] borrows the optimiser's names, shapes and
+/// buffers; a decoded checkpoint owns them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OptimizerState {
+pub struct OptimizerState<'a> {
     /// Producing algorithm (`"rmsprop"` or `"adam"`).
-    pub kind: String,
+    pub kind: Cow<'a, str>,
     /// Learning rate at capture time.
     pub lr: f32,
     /// `(name, shape)` identity of each tracked parameter, in step order.
-    pub keys: Vec<(String, Vec<usize>)>,
+    pub keys: Vec<(Cow<'a, str>, Cow<'a, [usize]>)>,
     /// `slots[s][i]`: flat data of moment slot `s` for parameter `i`.
-    pub slots: Vec<Vec<Vec<f32>>>,
+    pub slots: Vec<Vec<Cow<'a, [f32]>>>,
     /// Algorithm scalars (Adam: `[β1^t, β2^t]`; RMSProp: empty).
     pub scalars: Vec<f64>,
 }
@@ -88,7 +93,7 @@ impl std::error::Error for OptimStateError {}
 /// Validate the cross-buffer invariants shared by both algorithms and
 /// rebuild `(keys, per-slot tensors)` from a state.
 fn decode_state(
-    state: &OptimizerState,
+    state: &OptimizerState<'_>,
     expected_kind: &'static str,
     expected_slots: usize,
     expected_scalars: usize,
@@ -96,7 +101,7 @@ fn decode_state(
     if state.kind != expected_kind {
         return Err(OptimStateError::KindMismatch {
             expected: expected_kind,
-            found: state.kind.clone(),
+            found: state.kind.to_string(),
         });
     }
     if state.slots.len() != expected_slots {
@@ -119,8 +124,8 @@ fn decode_state(
         .keys
         .iter()
         .map(|(name, shape)| ParamKey {
-            name: name.clone(),
-            shape: shape.clone(),
+            name: name.to_string(),
+            shape: shape.to_vec(),
         })
         .collect();
     let mut slots = Vec::with_capacity(expected_slots);
@@ -136,7 +141,7 @@ fn decode_state(
         }
         let mut tensors = Vec::with_capacity(slot.len());
         for (key, data) in keys.iter().zip(slot) {
-            let t = Tensor::from_vec(data.clone(), &key.shape).map_err(|e| {
+            let t = Tensor::from_vec(data.to_vec(), &key.shape).map_err(|e| {
                 OptimStateError::Malformed {
                     detail: format!("buffer for {:?}: {e}", key.name),
                 }
@@ -148,14 +153,19 @@ fn decode_state(
     Ok((keys, slots))
 }
 
-fn encode_keys(keys: &[ParamKey]) -> Vec<(String, Vec<usize>)> {
+fn encode_keys(keys: &[ParamKey]) -> Vec<(Cow<'_, str>, Cow<'_, [usize]>)> {
     keys.iter()
-        .map(|k| (k.name.clone(), k.shape.clone()))
+        .map(|k| {
+            (
+                Cow::Borrowed(k.name.as_str()),
+                Cow::Borrowed(k.shape.as_slice()),
+            )
+        })
         .collect()
 }
 
-fn encode_slot(slot: &[Tensor]) -> Vec<Vec<f32>> {
-    slot.iter().map(|t| t.data().to_vec()).collect()
+fn encode_slot(slot: &[Tensor]) -> Vec<Cow<'_, [f32]>> {
+    slot.iter().map(|t| Cow::Borrowed(t.data())).collect()
 }
 
 /// Identity of the parameter an optimiser state slot was created for.
@@ -253,9 +263,9 @@ impl Optimizer for RmsProp {
         self.lr
     }
 
-    fn export_state(&self) -> OptimizerState {
+    fn export_state(&self) -> OptimizerState<'_> {
         OptimizerState {
-            kind: "rmsprop".to_string(),
+            kind: Cow::Borrowed("rmsprop"),
             lr: self.lr,
             keys: encode_keys(&self.keys),
             slots: vec![encode_slot(&self.square_avg)],
@@ -263,7 +273,7 @@ impl Optimizer for RmsProp {
         }
     }
 
-    fn import_state(&mut self, state: &OptimizerState) -> Result<(), OptimStateError> {
+    fn import_state(&mut self, state: &OptimizerState<'_>) -> Result<(), OptimStateError> {
         let (keys, mut slots) = decode_state(state, "rmsprop", 1, 0)?;
         self.lr = state.lr;
         self.keys = keys;
@@ -365,9 +375,9 @@ impl Optimizer for Adam {
         self.lr
     }
 
-    fn export_state(&self) -> OptimizerState {
+    fn export_state(&self) -> OptimizerState<'_> {
         OptimizerState {
-            kind: "adam".to_string(),
+            kind: Cow::Borrowed("adam"),
             lr: self.lr,
             keys: encode_keys(&self.keys),
             slots: vec![encode_slot(&self.m), encode_slot(&self.v)],
@@ -375,7 +385,7 @@ impl Optimizer for Adam {
         }
     }
 
-    fn import_state(&mut self, state: &OptimizerState) -> Result<(), OptimStateError> {
+    fn import_state(&mut self, state: &OptimizerState<'_>) -> Result<(), OptimStateError> {
         let (keys, mut slots) = decode_state(state, "adam", 2, 2)?;
         self.lr = state.lr;
         self.keys = keys;
@@ -541,6 +551,35 @@ mod tests {
         assert_ne!(d1, d2, "state must persist across matching steps");
     }
 
+    /// A copy of `state` that owns every name, shape and buffer, so the
+    /// optimiser it borrows from can keep stepping.
+    fn owned(state: OptimizerState<'_>) -> OptimizerState<'static> {
+        OptimizerState {
+            kind: Cow::Owned(state.kind.into_owned()),
+            lr: state.lr,
+            keys: state
+                .keys
+                .into_iter()
+                .map(|(name, shape)| {
+                    (
+                        Cow::Owned(name.into_owned()),
+                        Cow::Owned(shape.into_owned()),
+                    )
+                })
+                .collect(),
+            slots: state
+                .slots
+                .into_iter()
+                .map(|slot| {
+                    slot.into_iter()
+                        .map(|b| Cow::Owned(b.into_owned()))
+                        .collect()
+                })
+                .collect(),
+            scalars: state.scalars,
+        }
+    }
+
     #[test]
     fn zero_grad_tensors_stay_bit_frozen() {
         // A param whose gradient is all-zero for a step must keep its value
@@ -564,7 +603,7 @@ mod tests {
                 opt.step(&params);
             }
             let idle_value = idle.value().item().to_bits();
-            let idle_slots = opt.export_state().slots.clone();
+            let idle_slots = owned(opt.export_state()).slots;
             {
                 let tape = Tape::new();
                 touched.bind(&tape).square().sum().backward(); // idle: g = 0
@@ -609,7 +648,7 @@ mod tests {
         for _ in 0..7 {
             quadratic_step(&mut opt, &p);
         }
-        let state = opt.export_state();
+        let state = owned(opt.export_state());
 
         let p2 = Param::new("p", p.value().clone());
         let mut resumed = RmsProp::new(0.5); // wrong lr, fixed by import
@@ -628,8 +667,12 @@ mod tests {
         for _ in 0..7 {
             quadratic_step(&mut opt, &p);
         }
-        let state = opt.export_state();
-        assert_eq!(state.scalars.len(), 2, "adam exports bias-correction powers");
+        let state = owned(opt.export_state());
+        assert_eq!(
+            state.scalars.len(),
+            2,
+            "adam exports bias-correction powers"
+        );
 
         let p2 = Param::new("p", p.value().clone());
         let mut resumed = Adam::new(0.9);
@@ -663,7 +706,7 @@ mod tests {
         ));
 
         let mut bad_shape = state.clone();
-        bad_shape.slots[0][0].push(0.0);
+        bad_shape.slots[0][0].to_mut().push(0.0);
         assert!(matches!(
             fresh.import_state(&bad_shape),
             Err(OptimStateError::Malformed { .. })

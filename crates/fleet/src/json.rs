@@ -219,6 +219,7 @@ mod tests {
                     checkpoint_restores: 1,
                     checkpoint_delta_frames: 6,
                     checkpoint_quarantined: 2,
+                    phase_stalls: 3,
                 },
                 SessionReport {
                     id: SessionId::new(1),
@@ -233,6 +234,7 @@ mod tests {
                     checkpoint_restores: 0,
                     checkpoint_delta_frames: 0,
                     checkpoint_quarantined: 0,
+                    phase_stalls: 0,
                 },
             ],
             ticks: 42,

@@ -233,6 +233,9 @@ pub struct SessionStatus {
     pub checkpoint_delta_frames: u64,
     /// Broken frames quarantined by resume-time scrubs across all attempts.
     pub checkpoint_quarantined: u64,
+    /// Supervised phases that overran the stall watchdog's soft deadline,
+    /// across all attempts ([`GuardedRun::phase_stalls`]).
+    pub phase_stalls: u64,
 }
 
 /// Final per-session record inside a [`FleetReport`].
@@ -265,6 +268,10 @@ pub struct SessionReport {
     pub checkpoint_delta_frames: u64,
     /// Broken frames quarantined by resume-time scrubs across all attempts.
     pub checkpoint_quarantined: u64,
+    /// Stall-watchdog overruns across all attempts. A wall-clock
+    /// observation: it is left out of [`FleetReport::to_json`], which two
+    /// bit-identical runs render byte-identically.
+    pub phase_stalls: u64,
 }
 
 /// Fleet-wide aggregation returned by [`Fleet::run_to_completion`].
@@ -330,6 +337,7 @@ struct Session<'f> {
     restore_count: u64,
     delta_frames: u64,
     quarantined: u64,
+    stalls: u64,
 }
 
 /// The multi-session orchestrator. See the crate docs for the model.
@@ -431,6 +439,7 @@ impl<'f> Fleet<'f> {
             restore_count: 0,
             delta_frames: 0,
             quarantined: 0,
+            stalls: 0,
         });
         Ok(id)
     }
@@ -443,6 +452,7 @@ impl<'f> Fleet<'f> {
         let live_restores = s.run.as_ref().map_or(0, GuardedRun::checkpoint_restores);
         let live_deltas = s.run.as_ref().map_or(0, GuardedRun::checkpoint_delta_frames);
         let live_quarantined = s.run.as_ref().map_or(0, GuardedRun::checkpoint_quarantined);
+        let live_stalls = s.run.as_ref().map_or(0, GuardedRun::phase_stalls);
         Some(SessionStatus {
             state: s.state.clone(),
             steps: s
@@ -457,6 +467,7 @@ impl<'f> Fleet<'f> {
             checkpoint_restores: s.restore_count + live_restores,
             checkpoint_delta_frames: s.delta_frames + live_deltas,
             checkpoint_quarantined: s.quarantined + live_quarantined,
+            phase_stalls: s.stalls + live_stalls,
         })
     }
 
@@ -478,6 +489,7 @@ impl<'f> Fleet<'f> {
             session.restore_count += run.checkpoint_restores();
             session.delta_frames += run.checkpoint_delta_frames();
             session.quarantined += run.checkpoint_quarantined();
+            session.stalls += run.phase_stalls();
             session.last_robustness = run.robustness().clone();
         }
         session.search = None;
@@ -619,6 +631,7 @@ impl<'f> Fleet<'f> {
                                 session.restore_count += run.checkpoint_restores();
                                 session.delta_frames += run.checkpoint_delta_frames();
                                 session.quarantined += run.checkpoint_quarantined();
+                                session.stalls += run.phase_stalls();
                                 let result = run.finish(&mut search);
                                 session.last_robustness = result.robustness.clone();
                                 session.result = Some(result);
@@ -629,6 +642,7 @@ impl<'f> Fleet<'f> {
                                 session.restore_count += run.checkpoint_restores();
                                 session.delta_frames += run.checkpoint_delta_frames();
                                 session.quarantined += run.checkpoint_quarantined();
+                                session.stalls += run.phase_stalls();
                                 session.last_robustness = run.robustness().clone();
                                 Err(SessionFailure::Search(e))
                             }
@@ -732,6 +746,7 @@ impl<'f> Fleet<'f> {
                     s.run.as_ref().map_or(0, GuardedRun::checkpoint_delta_frames);
                 let live_quarantined =
                     s.run.as_ref().map_or(0, GuardedRun::checkpoint_quarantined);
+                let live_stalls = s.run.as_ref().map_or(0, GuardedRun::phase_stalls);
                 for event in robustness.events.iter().chain(s.fleet_log.events.iter()) {
                     *event_totals.entry(event.kind.label().to_string()).or_insert(0) += 1;
                 }
@@ -753,6 +768,7 @@ impl<'f> Fleet<'f> {
                     checkpoint_restores: s.restore_count + live_restores,
                     checkpoint_delta_frames: s.delta_frames + live_deltas,
                     checkpoint_quarantined: s.quarantined + live_quarantined,
+                    phase_stalls: s.stalls + live_stalls,
                 }
             })
             .collect();

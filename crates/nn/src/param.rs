@@ -85,6 +85,17 @@ impl Param {
         self.value.borrow().clone()
     }
 
+    /// Borrow the current value without copying it (checkpoint capture
+    /// reads every parameter this way).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value is being updated in place at the same time.
+    #[must_use]
+    pub fn value_ref(&self) -> std::cell::Ref<'_, Tensor> {
+        self.value.borrow()
+    }
+
     /// Replace the current value.
     ///
     /// # Panics

@@ -57,7 +57,9 @@ pub struct SessionRollup {
     pub fault_events: u64,
     /// `lane-quarantined` events.
     pub quarantine_events: u64,
-    /// `phase-stalled` watchdog events (the stall score).
+    /// Stall-watchdog overruns across attempts (the stall score), from
+    /// [`SessionReport::phase_stalls`]: stalls are counted beside the
+    /// robustness log, never in it.
     pub stall_events: u64,
     /// `phase-retried` supervised retries.
     pub retry_events: u64,
@@ -163,14 +165,12 @@ impl Aggregator {
     fn session_rollup(&self, s: &SessionReport) -> SessionRollup {
         let mut faults = 0;
         let mut quarantines = 0;
-        let mut stalls = 0;
         let mut retries = 0;
         let mut rollbacks = 0;
         for event in s.robustness.events.iter().chain(s.fleet_events.events.iter()) {
             match event.kind {
                 RobustnessEventKind::FaultInjected => faults += 1,
                 RobustnessEventKind::LaneQuarantined => quarantines += 1,
-                RobustnessEventKind::PhaseStalled => stalls += 1,
                 RobustnessEventKind::PhaseRetried => retries += 1,
                 RobustnessEventKind::RolledBack => rollbacks += 1,
                 _ => {}
@@ -189,7 +189,7 @@ impl Aggregator {
             checkpoint_lag: self.checkpoint_lag(s.id.index(), s.checkpoint_bytes_written),
             fault_events: faults,
             quarantine_events: quarantines,
-            stall_events: stalls,
+            stall_events: s.phase_stalls,
             retry_events: retries,
             rollback_events: rollbacks,
         }
@@ -260,6 +260,7 @@ mod tests {
                 checkpoint_restores: 0,
                 checkpoint_delta_frames: 0,
                 checkpoint_quarantined: 0,
+                phase_stalls: 0,
             }],
             ticks: 1,
             pool_budget: 2,
@@ -325,11 +326,11 @@ mod tests {
     #[test]
     fn event_kind_counts_split_by_category() {
         let mut report = report_with_bytes(0);
+        report.sessions[0].phase_stalls = 1;
         let log = &mut report.sessions[0].robustness;
         log.push(1, RobustnessEventKind::FaultInjected, "a");
         log.push(2, RobustnessEventKind::FaultInjected, "b");
         log.push(3, RobustnessEventKind::LaneQuarantined, "c");
-        log.push(4, RobustnessEventKind::PhaseStalled, "d");
         let snap = Aggregator::new(4).publish(&report);
         let s = &snap.sessions[0];
         assert_eq!(s.fault_events, 2);

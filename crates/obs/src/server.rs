@@ -208,6 +208,7 @@ pub fn solo_report(name: &str, run: &GuardedRun) -> FleetReport {
             checkpoint_restores: run.checkpoint_restores(),
             checkpoint_delta_frames: run.checkpoint_delta_frames(),
             checkpoint_quarantined: run.checkpoint_quarantined(),
+            phase_stalls: run.phase_stalls(),
         }],
         ticks: run.iteration(),
         pool_budget: 0,

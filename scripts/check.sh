@@ -32,6 +32,9 @@ cargo run -q --release -p a3cs-bench --bin obs_smoke
 echo "==> ckpt smoke (delta chain bit-rot quarantined + fallback bit-identical)"
 cargo run -q --release -p a3cs-bench --bin ckpt_smoke
 
+echo "==> perfbench build + self-tests (tiny workloads through the output checks, committed lock file)"
+cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> a3cs-check determinism lint (deny new findings + stale allowlist)"
 cargo run -q -p a3cs-check --bin lint -- --deny-new
 

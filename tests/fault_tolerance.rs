@@ -162,25 +162,51 @@ fn resume_falls_back_past_corrupted_checkpoints() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// FNV-1a 64: the envelope checksum of builds before `A3CS-CKPT v3`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A store file as builds before `A3CS-CKPT v3` wrote it: an `A3CSFRB1`
+/// base frame (codec 1, payload length, one literal run of the whole
+/// 32-byte payload) sealed in a v2 envelope checksummed with FNV-1a.
+fn v2_envelope_around_a_v1_base_frame() -> Vec<u8> {
+    let payload = b"A3CSSRCH-a-v3-search-checkpoint!";
+    let mut frame = b"A3CSFRB1\x01".to_vec();
+    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    frame.push(((payload.len() as u8 / 4) << 1) | 1);
+    frame.extend_from_slice(payload);
+    let mut file = format!("A3CS-CKPT v2 fnv1a={:016x}\n", fnv1a64(&frame)).into_bytes();
+    file.extend_from_slice(&frame);
+    file
+}
+
 #[test]
 fn pre_frame_checkpoints_are_skipped_and_quarantined() {
     let reference = cosearch(tiny_config(300), 9).run(&factory, None);
 
     // Builds before frame-only checkpoints sealed the raw payload (JSON or
-    // A3CSBIN2) into `ckpt-*.json`. Such a file is not a base frame: the
-    // resume must skip and quarantine it, then start fresh.
-    let legacy: [(&str, &[u8]); 2] = [
-        ("json", br#"{"version":2,"fingerprint":"0000000000000000"}"#),
-        ("binary", b"A3CSBIN2\x02\x00\x00\x00raw search checkpoint"),
+    // A3CSBIN2) into `ckpt-*.json`, and builds before the word-wide
+    // checksum sealed version 1 frames in a v2 envelope. Neither is a base
+    // frame this build reads: the resume must skip and quarantine it, then
+    // start fresh.
+    let legacy: [(&str, Vec<u8>); 3] = [
+        (
+            "json",
+            a3cs::drl::seal_envelope_bytes(br#"{"version":2,"fingerprint":"0000000000000000"}"#),
+        ),
+        (
+            "binary",
+            a3cs::drl::seal_envelope_bytes(b"A3CSBIN2\x02\x00\x00\x00raw search checkpoint"),
+        ),
+        ("fnv1a_frame", v2_envelope_around_a_v1_base_frame()),
     ];
-    for (name, payload) in legacy {
+    for (name, file) in legacy {
         let dir = test_dir(&format!("pre_frame_{name}"));
         std::fs::create_dir_all(&dir).expect("store dir");
-        std::fs::write(
-            dir.join("ckpt-000000000005.json"),
-            a3cs::drl::seal_envelope_bytes(payload),
-        )
-        .expect("seed the store");
+        std::fs::write(dir.join("ckpt-000000000005.json"), file).expect("seed the store");
         let mut cfg = tiny_config(300);
         cfg.fault.checkpoint_dir = Some(dir.clone());
         let result = cosearch(cfg, 9)
@@ -366,43 +392,71 @@ fn delta_resume_survives_a_missing_base() {
 
 #[test]
 fn delta_chains_roll_a_fresh_base_at_max_chain_len() {
-    let dir = test_dir("delta_roll");
-    let mut cfg = delta_config(300, &dir);
-    cfg.fault.durability.max_chain_len = 2;
-    cfg.fault.plan = FaultPlan::none().abort_at(8);
-    let err = cosearch(cfg.clone(), 5)
-        .run_guarded(&factory, None)
-        .expect_err("abort fault must surface");
-    assert_eq!(err, SearchError::Aborted { iteration: 8 });
+    let reference = cosearch(tiny_config(300), 5).run(&factory, None);
 
-    // Bases at 0, 3, 6; deltas at 1, 2, 4, 5, 7. An inline base roll is
-    // routine maintenance, not a robustness event.
-    let mut bases: Vec<String> = Vec::new();
-    let mut deltas: Vec<String> = Vec::new();
-    for entry in std::fs::read_dir(&dir).expect("store dir").filter_map(Result::ok) {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.ends_with(".json") {
-            bases.push(name);
-        } else if name.ends_with(".delta") {
-            deltas.push(name);
+    // (max_chain_len, crash iteration, bases on disk, deltas on disk). A
+    // crash at k resumes from the chain holding iteration k - 1. With
+    // chains of 2, a crash at 8 finds bases at 0, 3, 6 and deltas at 1, 2,
+    // 4, 5, 7; an inline base roll is routine maintenance, not a
+    // robustness event. With chains of 4, a crash at 4 resumes mid-chain,
+    // and a crash at 5 resumes from a full-length chain: its last delta is
+    // the one before the writer rolls a fresh base, the link whose carried
+    // sums are easiest to get wrong.
+    let cases: [(usize, u64, &[&str], usize); 3] = [
+        (
+            2,
+            8,
+            &[
+                "ckpt-000000000000.json",
+                "ckpt-000000000003.json",
+                "ckpt-000000000006.json",
+            ],
+            5,
+        ),
+        (4, 4, &["ckpt-000000000000.json"], 3),
+        (4, 5, &["ckpt-000000000000.json"], 4),
+    ];
+    for (max_chain_len, abort, want_bases, want_deltas) in cases {
+        let case = format!("max_chain_len {max_chain_len}, crash at {abort}");
+        let dir = test_dir(&format!("delta_roll_{max_chain_len}_{abort}"));
+        let mut cfg = delta_config(300, &dir);
+        cfg.fault.durability.max_chain_len = max_chain_len;
+        cfg.fault.plan = FaultPlan::none().abort_at(abort);
+        let err = cosearch(cfg.clone(), 5)
+            .run_guarded(&factory, None)
+            .expect_err("abort fault must surface");
+        assert_eq!(err, SearchError::Aborted { iteration: abort }, "{case}");
+
+        let mut bases: Vec<String> = Vec::new();
+        let mut deltas: Vec<String> = Vec::new();
+        for entry in std::fs::read_dir(&dir)
+            .expect("store dir")
+            .filter_map(Result::ok)
+        {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name.ends_with(".json") {
+                bases.push(name);
+            } else if name.ends_with(".delta") {
+                deltas.push(name);
+            }
         }
-    }
-    bases.sort();
-    deltas.sort();
-    assert_eq!(
-        bases,
-        [
-            "ckpt-000000000000.json",
-            "ckpt-000000000003.json",
-            "ckpt-000000000006.json"
-        ]
-    );
-    assert_eq!(deltas.len(), 5, "deltas: {deltas:?}");
+        bases.sort();
+        assert_eq!(bases, want_bases, "{case}");
+        assert_eq!(deltas.len(), want_deltas, "{case}: deltas {deltas:?}");
 
-    cfg.fault.plan = FaultPlan::none();
-    let resumed = cosearch(cfg, 5)
-        .run_guarded(&factory, None)
-        .expect("resumed run completes");
-    assert_eq!(resumed.robustness.count(RobustnessEventKind::Resumed), 1);
-    std::fs::remove_dir_all(&dir).ok();
+        cfg.fault.plan = FaultPlan::none();
+        let resumed = cosearch(cfg, 5)
+            .run_guarded(&factory, None)
+            .expect("resumed run completes");
+        let log = &resumed.robustness;
+        assert_eq!(log.count(RobustnessEventKind::Resumed), 1, "{case}");
+        assert_eq!(
+            log.count(RobustnessEventKind::CheckpointQuarantined),
+            0,
+            "{case}: {:?}",
+            log.events
+        );
+        assert_results_bit_identical(&reference, &resumed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

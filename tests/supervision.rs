@@ -11,6 +11,7 @@ use a3cs::core::{
     CoSearch, CoSearchConfig, CoSearchResult, FaultPlan, RobustnessEventKind, SearchError,
 };
 use a3cs::envs::{Breakout, Environment};
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -149,6 +150,20 @@ fn eval_panic_replays_the_iteration_bit_identically() {
     assert_results_bit_identical(&reference, &result);
 }
 
+/// Every file of a checkpoint store as `(name, bytes)`, sorted by name.
+fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("store dir exists")
+        .filter_map(Result::ok)
+        .map(|e| {
+            let bytes = std::fs::read(e.path()).expect("store file reads");
+            (e.file_name().to_string_lossy().into_owned(), bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 #[test]
 fn stall_watchdog_flags_overrun_without_perturbing_the_run() {
     let _guard = lock();
@@ -156,34 +171,52 @@ fn stall_watchdog_flags_overrun_without_perturbing_the_run() {
 
     // Stall the rollout at iteration 5 for 300 ms with an aggressive soft
     // deadline (1× the EWMA of past rollouts, 50 ms floor). The watchdog
-    // observes the overrun — it never interrupts the phase — so the run
-    // stays bit-identical.
-    let mut cfg = tiny_config(300);
-    cfg.fault.supervision = true;
-    cfg.fault.stall_multiplier = 1;
-    cfg.fault.stall_min_ms = 50;
-    cfg.fault.plan = FaultPlan::none().stall_at("rollout", 5, 300);
+    // observes the overrun — it never interrupts the phase — and counts
+    // it beside the robustness log, so neither the log, nor any
+    // checkpoint, nor the result depends on the host's timing.
+    let root = std::env::temp_dir().join(format!("a3cs_sup_stall_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let stalled_run = |stall_min_ms: u64, store: &str| {
+        let mut cfg = tiny_config(300);
+        cfg.fault.supervision = true;
+        cfg.fault.stall_multiplier = 1;
+        cfg.fault.stall_min_ms = stall_min_ms;
+        cfg.fault.checkpoint_dir = Some(root.join(store));
+        cfg.fault.plan = FaultPlan::none().stall_at("rollout", 5, 300);
+        let mut stalls = 0;
+        let result = cosearch(cfg, 19)
+            .run_guarded_observed(&factory, None, |run| stalls = run.phase_stalls())
+            .expect("stalled run still completes");
+        (result, stalls)
+    };
 
     let session = telemetry::Session::start();
-    let result = cosearch(cfg, 19)
-        .run_guarded(&factory, None)
-        .expect("stalled run still completes");
+    let (result, stalls) = stalled_run(50, "watched");
     let trace = session.finish();
-
-    let log = &result.robustness;
-    assert_eq!(log.count(RobustnessEventKind::FaultInjected), 1);
-    assert!(
-        log.count(RobustnessEventKind::PhaseStalled) >= 1,
-        "watchdog must flag the stalled rollout: {:?}",
-        log.events
-    );
+    assert!(stalls >= 1, "watchdog must count the stalled rollout");
     assert!(
         trace
             .instants()
             .any(|i| i.name == "watchdog-deadline-exceeded"),
         "the watchdog fires a live instant the moment the deadline passes"
     );
+    let log = &result.robustness;
+    assert_eq!(log.events.len(), 1, "{:?}", log.events);
+    assert_eq!(log.count(RobustnessEventKind::FaultInjected), 1);
     assert_results_bit_identical(&reference, &result);
+
+    // The same plan under a watchdog that cannot fire writes the same
+    // store, byte for byte.
+    let (unwatched, unwatched_stalls) = stalled_run(600_000, "unwatched");
+    assert_eq!(unwatched_stalls, 0);
+    assert_eq!(unwatched.robustness, result.robustness);
+    let watched_files = store_files(&root.join("watched"));
+    assert!(!watched_files.is_empty());
+    assert!(
+        watched_files == store_files(&root.join("unwatched")),
+        "a stall observation changed the checkpoint store"
+    );
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
