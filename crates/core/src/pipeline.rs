@@ -1519,6 +1519,53 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_non_sampled_branch_trips_the_sentinel() {
+        use a3cs_nas::ALL_OPS;
+        use a3cs_nn::Module;
+        let mut cfg = tiny_config(300);
+        cfg.supernet.top_k = 9;
+        cfg.fault.sentinel = true;
+        let seed = 6;
+        // Cell 0's sample in the first update. Poisoned weights change
+        // values only, never the Gumbel draws, so it holds for both runs.
+        let sampled = {
+            let mut clean = search(cfg.clone(), seed);
+            let mut run = clean.start_run(&factory);
+            run.step(&mut clean, &factory, None)
+                .expect("a clean step runs");
+            clean.supernet().last_sampled_indices()[0]
+        };
+        // An inverted residual (ALL_OPS[2..8]): no ReLU after its
+        // projection, so the ∞ makes the operator's output non-finite.
+        let poisoned = (2..8).find(|&oi| oi != sampled).expect("six candidates");
+        let project = format!("supernet.c0.{}.project.weight", ALL_OPS[poisoned]);
+
+        let mut poisoned_search = search(cfg, seed);
+        let mut run = poisoned_search.start_run(&factory);
+        poisoned_search
+            .supernet()
+            .params()
+            .into_iter()
+            .find(|p| p.name() == project)
+            .expect("the inverted residual has a projection")
+            .update(|w| w.data_mut()[0] = f32::INFINITY);
+        run.step(&mut poisoned_search, &factory, None)
+            .expect("a tripped sentinel rolls back");
+        assert_ne!(
+            poisoned_search.supernet().last_sampled_indices()[0],
+            poisoned
+        );
+        let events = &run.robustness().events;
+        // The head's final ReLU maps NaN features to 0 (`f32::max`), so the
+        // loss stays finite; the parameter scan after the update trips.
+        assert_eq!(
+            events.first().map(|e| e.kind),
+            Some(RobustnessEventKind::NonFiniteParam),
+            "{events:?}"
+        );
+    }
+
+    #[test]
     fn derived_accelerator_is_dsp_feasible() {
         let mut search = search(tiny_config(300), 5);
         let result = search.run(&factory, None);

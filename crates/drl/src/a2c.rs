@@ -83,17 +83,20 @@ pub fn a2c_losses(
     let dec_data = &rollout.observations[..transitions * obs_len];
     let boot_data = &rollout.observations[transitions * obs_len..];
     let obs_dec = tape.leaf(batch_to_tensor(dec_data, transitions, obs_shape));
-    let obs_boot = tape.leaf(batch_to_tensor(boot_data, n, obs_shape));
 
     // Bootstrap forward first so that stateful backbones (the NAS
     // supernet) leave their *training-forward* sample as the last
     // recorded path — the co-search reads it for Eq. 8's cost penalty.
-    let (_, boot_values) = agent.forward(tape, &obs_boot, false);
+    // Its values enter only as numbers, so it records no backward pass.
+    let v_boot = {
+        let infer = Tape::no_grad();
+        let obs_boot = infer.constant(batch_to_tensor(boot_data, n, obs_shape));
+        agent.forward(&infer, &obs_boot, false).1.value()
+    };
     let (logits, values) = agent.forward(tape, &obs_dec, true);
 
     // Numeric value estimates for targets/advantages (detached).
     let v_dec = values.value();
-    let v_boot = boot_values.value();
     let mut targets = vec![0.0f32; transitions];
     let mut advantages = vec![0.0f32; transitions];
     for t in 0..len {
@@ -147,7 +150,10 @@ pub fn a2c_losses(
     let beta3 = distill.critic_weight();
     if let Some(teacher) = teacher {
         if beta2 > 0.0 || beta3 > 0.0 {
-            let (t_logits, t_values) = teacher.forward(tape, &obs_dec, false);
+            // The teacher's outputs are targets: no backward pass.
+            let infer = Tape::no_grad();
+            let (t_logits, t_values) =
+                teacher.forward(&infer, &infer.constant(obs_dec.value()), false);
             if beta2 > 0.0 {
                 // KL(p_tea || p_stu) = Σ p_tea (log p_tea - log p_stu).
                 let p_tea = t_logits.softmax_rows().value().as_ref().clone();

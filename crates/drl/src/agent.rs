@@ -89,7 +89,8 @@ impl ActorCritic {
         (logits, values.reshape(&[n]))
     }
 
-    /// Policy probabilities for a batch of raw observations (no grad use).
+    /// Policy probabilities for a batch of raw observations, from a
+    /// forward that records no backward pass.
     ///
     /// # Panics
     ///
@@ -97,9 +98,9 @@ impl ActorCritic {
     /// length.
     #[must_use]
     pub fn policy_probs(&self, obs_batch: &[f32], n: usize) -> Tensor {
-        let tape = Tape::new();
+        let tape = Tape::no_grad();
         let obs = self.obs_tensor(obs_batch, n);
-        let (logits, _) = self.forward(&tape, &tape.leaf(obs), false);
+        let (logits, _) = self.forward(&tape, &tape.constant(obs), false);
         logits.softmax_rows().value().as_ref().clone()
     }
 

@@ -130,7 +130,7 @@ mod tests {
     fn all_ops_produce_valid_derivations() {
         let cfg = SupernetConfig::tiny(3, 12, 12);
         for &op in &ALL_OPS {
-            let bb = derive_backbone(&cfg, &vec![op; 6], 3);
+            let bb = derive_backbone(&cfg, &[op; 6], 3);
             assert!(bb.total_macs() > 0, "{op}");
         }
     }
@@ -138,8 +138,8 @@ mod tests {
     #[test]
     fn skip_heavy_architectures_are_cheaper() {
         let cfg = SupernetConfig::tiny(3, 12, 12);
-        let heavy = derive_backbone(&cfg, &vec![OpChoice::Conv { kernel: 5 }; 6], 4);
-        let light = derive_backbone(&cfg, &vec![OpChoice::Skip; 6], 4);
+        let heavy = derive_backbone(&cfg, &[OpChoice::Conv { kernel: 5 }; 6], 4);
+        let light = derive_backbone(&cfg, &[OpChoice::Skip; 6], 4);
         assert!(heavy.total_macs() > light.total_macs() * 2);
     }
 
@@ -164,13 +164,13 @@ mod tests {
         let mut bad = cfg;
         bad.num_cells = 5;
         assert_eq!(
-            try_derive_backbone(&bad, &vec![OpChoice::Skip; 5], 0).err(),
+            try_derive_backbone(&bad, &[OpChoice::Skip; 5], 0).err(),
             Some(NasError::InvalidCellCount { num_cells: 5 })
         );
         assert_eq!(
             bad.try_cell_plan().err(),
             Some(NasError::InvalidCellCount { num_cells: 5 })
         );
-        assert!(try_derive_backbone(&cfg, &vec![OpChoice::Skip; 6], 0).is_ok());
+        assert!(try_derive_backbone(&cfg, &[OpChoice::Skip; 6], 0).is_ok());
     }
 }

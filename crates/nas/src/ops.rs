@@ -151,9 +151,9 @@ mod tests {
 
     #[test]
     fn all_ops_are_distinct() {
-        for i in 0..ALL_OPS.len() {
-            for j in (i + 1)..ALL_OPS.len() {
-                assert_ne!(ALL_OPS[i], ALL_OPS[j]);
+        for (i, a) in ALL_OPS.iter().enumerate() {
+            for b in &ALL_OPS[i + 1..] {
+                assert_ne!(a, b);
             }
         }
     }

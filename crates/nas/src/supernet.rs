@@ -79,7 +79,7 @@ impl SupernetConfig {
     /// multiple of 3.
     #[must_use = "the Result reports failure and must be checked"]
     pub fn try_cell_plan(&self) -> Result<Vec<(usize, usize, usize)>, NasError> {
-        if self.num_cells == 0 || self.num_cells % 3 != 0 {
+        if self.num_cells == 0 || !self.num_cells.is_multiple_of(3) {
             return Err(NasError::InvalidCellCount {
                 num_cells: self.num_cells,
             });
@@ -126,6 +126,25 @@ struct SearchCell {
     ops: Vec<Box<dyn Module>>,
 }
 
+/// Runs one top-K operator of a training forward: `(operator, tape,
+/// input, whether it is the hard sample)` to its output on `tape`.
+type BranchFn = fn(&dyn Module, &Tape, &Var, bool) -> Var;
+
+/// A non-sampled top-K path enters Eq. 7 only through α: its forward
+/// coefficient is exactly zero, so its own weights and input would get an
+/// exactly-zero gradient. It runs forward-only, still in train mode (batch
+/// statistics and running-stat updates as on the sampled path), and its
+/// output enters `tape` as a constant that `scale_by` differentiates α
+/// through.
+fn forward_only_unless_sampled(op: &dyn Module, tape: &Tape, h: &Var, hard: bool) -> Var {
+    if hard {
+        return op.forward(tape, h, true);
+    }
+    let side = Tape::no_grad();
+    let out = op.forward(&side, &side.constant(h.value()), true);
+    tape.constant(out.value())
+}
+
 /// The architecture-search side of a supernet's state: the `α` logits,
 /// the Gumbel sampler's RNG stream, and the temperature-schedule step.
 ///
@@ -152,8 +171,9 @@ pub struct SupernetSearchState {
 /// In training mode each cell hard-samples one operator via Gumbel-Softmax
 /// on its `α` logits (single-path forward) while the `top_k` most probable
 /// perturbed operators participate in the backward pass through a
-/// straight-through relaxation (multi-path backward). In evaluation mode
-/// the argmax-`α` operator runs deterministically.
+/// straight-through relaxation (multi-path backward). The non-sampled ones
+/// run forward-only and reach the backward pass through `α` alone. In
+/// evaluation mode the argmax-`α` operator runs deterministically.
 ///
 /// The struct uses interior mutability (RNG, step counter, last-sample
 /// trace) so it satisfies the `&self`-based [`Module`] trait and can be
@@ -391,10 +411,10 @@ impl SuperNet {
         }
         out
     }
-}
 
-impl Module for SuperNet {
-    fn forward(&self, tape: &Tape, x: &Var, train: bool) -> Var {
+    /// The forward of [`Module::forward`], with `branch` running each
+    /// top-K operator of a training forward.
+    fn forward_with(&self, tape: &Tape, x: &Var, train: bool, branch: BranchFn) -> Var {
         let mut h = self.stem.forward(tape, x, train);
         let tau = self.temperature();
         let num_ops = ALL_OPS.len();
@@ -438,10 +458,10 @@ impl Module for SuperNet {
                         Err(e) => unreachable!("one value always fits shape [1]: {e:?}"),
                     };
                     let coeff = w.add(&tape.constant(shift_t));
-                    let branch = cell.ops[oi].forward(tape, &h, train).scale_by(&coeff);
+                    let out = branch(cell.ops[oi].as_ref(), tape, &h, oi == hard).scale_by(&coeff);
                     acc = Some(match acc {
-                        None => branch,
-                        Some(a) => a.add(&branch),
+                        None => out,
+                        Some(a) => a.add(&out),
                     });
                 }
                 h = match acc {
@@ -465,6 +485,12 @@ impl Module for SuperNet {
         *self.last_sample.borrow_mut() = sample;
         let pooled = GlobalAvgPool::new().forward(tape, &h, train);
         self.head_fc.forward(tape, &pooled, train).relu()
+    }
+}
+
+impl Module for SuperNet {
+    fn forward(&self, tape: &Tape, x: &Var, train: bool) -> Var {
+        self.forward_with(tape, x, train, forward_only_unless_sampled)
     }
 
     fn params(&self) -> Vec<Param> {
@@ -637,6 +663,113 @@ mod tests {
         sn.set_eval_sampling(false);
         let _ = sn.forward(&tape, &x, false);
         assert_eq!(sn.last_sampled_indices(), sn.arch().argmax());
+    }
+
+    /// The forward before non-sampled top-K paths ran forward-only: every
+    /// top-K operator recorded on the tape, backward included.
+    fn record_every_branch(op: &dyn Module, tape: &Tape, h: &Var, _hard: bool) -> Var {
+        op.forward(tape, h, true)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn grads(params: &[Param]) -> Vec<Vec<f32>> {
+        params.iter().map(|p| p.grad().data().to_vec()).collect()
+    }
+
+    #[test]
+    fn forward_only_branches_change_nothing_the_search_sees() {
+        for top_k in [1, 2, 3, 9] {
+            for batch in [1, 4] {
+                for seed in [3, 11, 29] {
+                    let case = format!("top_k {top_k}, batch {batch}, seed {seed}");
+                    let mut cfg = SupernetConfig::tiny(3, 12, 12);
+                    cfg.top_k = top_k;
+                    let (sn, reference) = (SuperNet::new(cfg, seed), SuperNet::new(cfg, seed));
+                    let x = Tensor::randn(&[batch, 3, 12, 12], 0.5, seed + 100);
+                    let tape = Tape::new();
+                    let y = sn.forward(&tape, &tape.leaf(x.clone()), true);
+                    y.square().sum().backward();
+                    let tape = Tape::new();
+                    let y_ref =
+                        reference.forward_with(&tape, &tape.leaf(x), true, record_every_branch);
+                    y_ref.square().sum().backward();
+
+                    assert_eq!(bits(&y.value()), bits(&y_ref.value()), "{case}: output");
+                    // The reference adds ±0 into the non-sampled weights and
+                    // the cell inputs, so gradients compare by value.
+                    assert_eq!(
+                        grads(&sn.arch().params()),
+                        grads(&reference.arch().params()),
+                        "{case}: α gradient"
+                    );
+                    assert_eq!(
+                        grads(&sn.params()),
+                        grads(&reference.params()),
+                        "{case}: θ gradient"
+                    );
+                    let state = |net: &SuperNet| -> Vec<Vec<u32>> {
+                        net.state().iter().map(|p| bits(&p.value())).collect()
+                    };
+                    assert_eq!(state(&sn), state(&reference), "{case}: BN running stats");
+                    let sampled = sn.last_sampled_indices();
+                    assert_eq!(sampled, reference.last_sampled_indices(), "{case}: sample");
+                    for (cell, &hard) in sn.cells.iter().zip(&sampled) {
+                        for (oi, op) in cell.ops.iter().enumerate().filter(|&(oi, _)| oi != hard) {
+                            for p in op.params() {
+                                assert!(
+                                    p.grad().data().iter().all(|&g| g == 0.0),
+                                    "{case}: non-sampled op {oi} got gradient in {}",
+                                    p.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_non_sampled_branch_still_reaches_what_the_sentinel_scans() {
+        let mut cfg = SupernetConfig::tiny(3, 12, 12);
+        cfg.top_k = 9;
+        let sn = SuperNet::new(cfg, 5);
+        // ir_k3_e1: no ReLU after its projection, so an ∞ weight there
+        // makes the operator's output non-finite.
+        let poisoned = 2;
+        let project = format!("supernet.c0.{}.project.weight", ALL_OPS[poisoned]);
+        let weight = sn.cells[0].ops[poisoned]
+            .params()
+            .into_iter()
+            .find(|p| p.name() == project)
+            .expect("the inverted residual has a projection");
+        weight.update(|w| w.data_mut()[0] = f32::INFINITY);
+        let x = Tensor::randn(&[2, 3, 12, 12], 0.5, 6);
+        for _ in 0..50 {
+            sn.zero_grad();
+            sn.arch().zero_grad();
+            let tape = Tape::new();
+            let y = sn.forward(&tape, &tape.leaf(x.clone()), true);
+            if sn.last_sampled_indices()[0] == poisoned {
+                continue;
+            }
+            // In the top-K but not sampled: forward-only, yet 0 · ∞ = NaN in
+            // `scale_by` carries it onto the main tape.
+            y.square().sum().backward();
+            assert!(
+                !sn.arch().params()[0].grad().all_finite(),
+                "cell 0's α gradient"
+            );
+            assert!(
+                sn.head_fc.params().iter().any(|p| !p.grad().all_finite()),
+                "head gradient"
+            );
+            return;
+        }
+        unreachable!("uniform α samples another op within 50 forwards");
     }
 
     #[test]

@@ -166,7 +166,7 @@ pub fn vanilla(in_planes: usize, height: usize, width: usize, feat_dim: usize, s
 #[must_use]
 pub fn resnet_blocks_per_group(depth: usize) -> usize {
     assert!(
-        depth >= 8 && (depth - 2) % 6 == 0,
+        depth >= 8 && (depth - 2).is_multiple_of(6),
         "ResNet depth must be 6n+2 (e.g. 14, 20, 38, 74), got {depth}"
     );
     (depth - 2) / 6

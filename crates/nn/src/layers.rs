@@ -434,15 +434,13 @@ impl Module for BatchNorm2d {
                 var[ci] = vacc / m;
             }
             self.running_mean.update(|rm| {
-                for ci in 0..c {
-                    let rm_v = rm.data()[ci];
-                    rm.data_mut()[ci] = (1.0 - self.momentum) * rm_v + self.momentum * mean[ci];
+                for (rm_v, &mean_c) in rm.data_mut().iter_mut().zip(&mean) {
+                    *rm_v = (1.0 - self.momentum) * *rm_v + self.momentum * mean_c;
                 }
             });
             self.running_var.update(|rv| {
-                for ci in 0..c {
-                    let rv_v = rv.data()[ci];
-                    rv.data_mut()[ci] = (1.0 - self.momentum) * rv_v + self.momentum * var[ci];
+                for (rv_v, &var_c) in rv.data_mut().iter_mut().zip(&var) {
+                    *rv_v = (1.0 - self.momentum) * *rv_v + self.momentum * var_c;
                 }
             });
             x.batch_norm2d(&gamma, &beta, self.eps)
@@ -615,6 +613,37 @@ mod tests {
         let frozen = bn.running_mean();
         let _ = bn.forward(&tape, &x, false);
         assert_eq!(bn.running_mean(), frozen);
+    }
+
+    #[test]
+    fn train_forward_on_a_no_grad_tape_matches_a_recording_one() {
+        let build = || {
+            crate::Sequential::new()
+                .push(Conv2d::new("c", 3, 4, 3, 1, 1, false, 5))
+                .push(BatchNorm2d::new("bn", 4))
+                .push(Relu::new())
+                .push(DepthwiseConv2d::new("dw", 4, 3, 2, 1, 6))
+                .push(BatchNorm2d::new("dw_bn", 4))
+        };
+        let (recorded, forward_only) = (build(), build());
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let state = |m: &crate::Sequential| -> Vec<Vec<u32>> {
+            m.state().iter().map(|p| bits(&p.value())).collect()
+        };
+        for (step, train) in [true, true, false].into_iter().enumerate() {
+            let x = Tensor::randn(&[2, 3, 6, 6], 1.0, 10 + step as u64);
+            let tape = Tape::new();
+            let y = recorded.forward(&tape, &tape.leaf(x.clone()), train);
+            let side = Tape::no_grad();
+            let y_side = forward_only.forward(&side, &side.constant(x), train);
+            assert_eq!(bits(&y.value()), bits(&y_side.value()), "step {step}");
+            assert_eq!(state(&recorded), state(&forward_only), "step {step}");
+        }
+        assert_ne!(
+            state(&forward_only),
+            state(&build()),
+            "train forwards moved the stats"
+        );
     }
 
     #[test]

@@ -164,7 +164,9 @@ impl Param {
     }
 
     /// Record this parameter on `tape`, returning a [`Var`] whose backward
-    /// pass accumulates into this parameter's gradient storage.
+    /// pass accumulates into this parameter's gradient storage. On a
+    /// [`Tape::no_grad`] tape the `Var` is a constant and the gradient
+    /// storage is never touched.
     #[must_use]
     pub fn bind(&self, tape: &Tape) -> Var {
         tape.param(self.value(), Rc::clone(&self.grad))
@@ -207,6 +209,21 @@ mod tests {
         }
         assert_eq!(p.grad().data(), &[3.0, 3.0]);
         p.zero_grad();
+        assert_eq!(p.grad().data(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn bind_on_a_no_grad_tape_is_a_constant() {
+        let p = Param::new("w", Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap());
+        let side = Tape::no_grad();
+        let y = p.bind(&side).square().sum();
+        assert_eq!(y.value().item(), 5.0);
+        // Entered into a recording tape, the value is a constant there too:
+        // a backward reaches no parameter.
+        let tape = Tape::new();
+        let s = tape.leaf(Tensor::scalar(3.0));
+        tape.constant(y.value()).mul(&s).backward();
+        assert_eq!(s.grad().unwrap().item(), 5.0);
         assert_eq!(p.grad().data(), &[0.0, 0.0]);
     }
 

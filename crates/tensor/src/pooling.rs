@@ -4,8 +4,6 @@
 //! extended operator library (average/max pooling candidate ops, sigmoid
 //! gates) beyond the paper's minimum requirements.
 
-use crate::tape::Tape;
-use crate::tensor::Tensor;
 use crate::var::{sized, Var};
 
 impl Var {
@@ -38,9 +36,9 @@ impl Var {
                 }
             }
         }
-        let id = self.node_id();
+        let id = self.id;
         let shape = self.shape();
-        self.record(
+        self.unary(
             sized(out, &[n, c, oh, ow], "avg pool"),
             Box::new(move |g| {
                 let mut dx = vec![0.0f32; n * c * h * w];
@@ -79,7 +77,9 @@ impl Var {
         let (n, c, h, w, oh, ow) = pool_dims(&self.shape(), window, stride);
         let x = self.value();
         let mut out = vec![0.0f32; n * c * oh * ow];
-        let mut argmax = vec![0usize; n * c * oh * ow];
+        // The argmax routes the backward pass only.
+        let records = self.tape.records_grad();
+        let mut argmax = vec![0usize; if records { out.len() } else { 0 }];
         for ni in 0..n {
             for ci in 0..c {
                 let ibase = (ni * c + ci) * h * w;
@@ -99,14 +99,16 @@ impl Var {
                             }
                         }
                         out[obase + oy * ow + ox] = best;
-                        argmax[obase + oy * ow + ox] = best_i;
+                        if records {
+                            argmax[obase + oy * ow + ox] = best_i;
+                        }
                     }
                 }
             }
         }
-        let id = self.node_id();
+        let id = self.id;
         let shape = self.shape();
-        self.record(
+        self.unary(
             sized(out, &[n, c, oh, ow], "max pool"),
             Box::new(move |g| {
                 let mut dx = vec![0.0f32; n * c * h * w];
@@ -121,10 +123,10 @@ impl Var {
     /// Elementwise logistic sigmoid `1 / (1 + e^{-x})`.
     #[must_use]
     pub fn sigmoid(&self) -> Var {
-        let id = self.node_id();
+        let id = self.id;
         let value = self.value().map(|v| 1.0 / (1.0 + (-v).exp()));
         let y = value.clone();
-        self.record(
+        self.unary(
             value,
             Box::new(move |g| vec![(id, g.zip(&y, |gv, yv| gv * yv * (1.0 - yv)))]),
         )
@@ -139,10 +141,10 @@ impl Var {
     #[must_use]
     pub fn clamp(&self, lo: f32, hi: f32) -> Var {
         assert!(lo <= hi, "clamp bounds inverted: {lo} > {hi}");
-        let id = self.node_id();
+        let id = self.id;
         let x = self.value();
         let value = x.map(|v| v.clamp(lo, hi));
-        self.record(
+        self.unary(
             value,
             Box::new(move |g| {
                 vec![(
@@ -167,30 +169,11 @@ fn pool_dims(shape: &[usize], window: usize, stride: usize) -> (usize, usize, us
     (n, c, h, w, oh, ow)
 }
 
-/// Internal accessors used by the pooling ops (kept crate-private).
-impl Var {
-    pub(crate) fn node_id(&self) -> usize {
-        self.id
-    }
-
-    pub(crate) fn record(
-        &self,
-        value: Tensor,
-        backward: crate::tape::BackwardFn,
-    ) -> Var {
-        self.tape_handle()
-            .push(std::rc::Rc::new(value), Some(backward), None)
-    }
-
-    pub(crate) fn tape_handle(&self) -> &Tape {
-        &self.tape
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::grad_check::check_gradients;
+    use crate::tape::Tape;
+    use crate::tensor::Tensor;
 
     #[test]
     fn avg_pool_known_values() {

@@ -26,7 +26,8 @@ pub(crate) fn sized(data: Vec<f32>, shape: &[usize], what: &str) -> Tensor {
 ///
 /// `Var` is cheap to clone (it is an id plus an `Rc` tape handle). All
 /// arithmetic on `Var`s records backward closures so that [`Var::backward`]
-/// can later accumulate gradients.
+/// can later accumulate gradients, unless the tape is a [`Tape::no_grad`]
+/// one.
 ///
 /// # Example
 ///
@@ -101,7 +102,7 @@ impl Var {
         );
     }
 
-    fn unary(&self, value: Tensor, backward: BackwardFn) -> Var {
+    pub(crate) fn unary(&self, value: Tensor, backward: BackwardFn) -> Var {
         self.tape.push(Rc::new(value), Some(backward), None)
     }
 
@@ -910,20 +911,27 @@ impl Var {
         }
         let ivar: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
 
-        let mut xhat = vec![0.0f32; n * c * hw];
+        // x̂ is kept only for the backward pass.
+        let records = self.tape.records_grad();
+        let mut xhat = vec![0.0f32; if records { n * c * hw } else { 0 }];
         let mut out = vec![0.0f32; n * c * hw];
         for ni in 0..n {
             for ci in 0..c {
                 let base = (ni * c + ci) * hw;
                 for o in 0..hw {
                     let xh = (x.data()[base + o] - mean[ci]) * ivar[ci];
-                    xhat[base + o] = xh;
+                    if records {
+                        xhat[base + o] = xh;
+                    }
                     out[base + o] = gv.data()[ci] * xh + bv.data()[ci];
                 }
             }
         }
-        let xhat = sized(xhat, &s, "bn xhat shape");
         let value = sized(out, &s, "bn output shape");
+        if !records {
+            return self.tape.constant(value);
+        }
+        let xhat = sized(xhat, &s, "bn xhat shape");
         let shape = s.clone();
         self.unary(
             value,
@@ -1001,22 +1009,30 @@ impl Var {
         let hw = h * w;
         let x = self.value();
         let ivar: Vec<f32> = var.data().iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
+        // x̂ is kept only for the backward pass.
+        let records = self.tape.records_grad();
         let mut out = vec![0.0f32; x.len()];
-        let mut xhat = vec![0.0f32; x.len()];
+        let mut xhat = vec![0.0f32; if records { x.len() } else { 0 }];
         for ni in 0..n {
             for (ci, &iv) in ivar.iter().enumerate() {
                 let base = (ni * c + ci) * hw;
                 for o in 0..hw {
                     let xh = (x.data()[base + o] - mean.data()[ci]) * iv;
-                    xhat[base + o] = xh;
+                    if records {
+                        xhat[base + o] = xh;
+                    }
                     out[base + o] = gv.data()[ci] * xh + bv.data()[ci];
                 }
             }
         }
+        let value = sized(out, &s, "bn-inf output shape");
+        if !records {
+            return self.tape.constant(value);
+        }
         let xhat = sized(xhat, &s, "bn-inf xhat shape");
         let shape = s.clone();
         self.unary(
-            sized(out, &s, "bn-inf output shape"),
+            value,
             Box::new(move |g| {
                 let mut dgamma = vec![0.0f32; c];
                 let mut dbeta = vec![0.0f32; c];
