@@ -524,8 +524,9 @@ mod tests {
         ws.chunks[0].dataflow = Dataflow::WeightStationary;
         let mut os = single_chunk_accel(8, 8, 1);
         os.chunks[0].dataflow = Dataflow::OutputStationary;
-        let r_ws = PerfModel::evaluate(&ws, &[fat_fc.clone()], &target);
-        let r_os = PerfModel::evaluate(&os, &[fat_fc], &target);
+        let fat_fc = [fat_fc];
+        let r_ws = PerfModel::evaluate(&ws, &fat_fc, &target);
+        let r_os = PerfModel::evaluate(&os, &fat_fc, &target);
         assert!(
             r_ws.bottleneck_cycles <= r_os.bottleneck_cycles,
             "WS should win on weight-heavy layers: {} vs {}",

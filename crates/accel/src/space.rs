@@ -371,7 +371,7 @@ impl SearchSpace {
         for _ in 0..num_chunks {
             sizes.extend(self.chunk_knob_sizes());
         }
-        sizes.extend(std::iter::repeat(num_chunks).take(num_layers));
+        sizes.extend(std::iter::repeat_n(num_chunks, num_layers));
         sizes
     }
 

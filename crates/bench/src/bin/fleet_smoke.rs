@@ -200,7 +200,7 @@ fn main() {
     if !problems.is_empty() {
         fail(&problems);
     }
-    status(&format!(
+    status(format!(
         "fleet smoke: OK ({} sessions done in {} ticks, {} fault contained, \
          {} checkpoint bytes, pool budget {})\n",
         report.sessions.len(),

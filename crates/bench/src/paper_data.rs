@@ -58,9 +58,12 @@ pub const TABLE2: &[(&str, [f64; 3], [f64; 3])] = &[
     ),
 ];
 
-/// Table III: FA3C (score, FPS) vs A3C-S (score, FPS) as reported by the
+/// A `(score, FPS)` pair as the paper reports it.
+pub type ScoreFps = (f64, f64);
+
+/// Table III: FA3C vs A3C-S `(score, FPS)` per game as reported by the
 /// paper; FA3C runs everything at 260 FPS.
-pub const TABLE3: &[(&str, (f64, f64), (f64, f64))] = &[
+pub const TABLE3: &[(&str, ScoreFps, ScoreFps)] = &[
     ("BeamRider", (3100.0, 260.0), (36_745.0, 617.7)),
     ("Breakout", (340.0, 260.0), (670.0, 1596.3)),
     ("Pong", (0.0, 260.0), (20.9, 787.4)),

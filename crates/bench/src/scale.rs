@@ -100,8 +100,8 @@ mod tests {
 
     #[test]
     fn profiles_are_ordered() {
-        assert!(SMOKE.train_steps < SHORT.train_steps);
-        assert!(SHORT.train_steps < FULL.train_steps);
+        const { assert!(SMOKE.train_steps < SHORT.train_steps) };
+        const { assert!(SHORT.train_steps < FULL.train_steps) };
     }
 
     #[test]

@@ -762,7 +762,7 @@ fn f() {
         assert_eq!(cats("crates/drl/src/a2c.rs", spawn), vec![LintCategory::ThreadSpawn]);
         let clock = "fn f() { let _ = std::time::Instant::now(); }\n";
         assert!(cats("vendor/telemetry/src/lib.rs", clock).is_empty());
-        assert!(cats("crates/bench/src/bin/bench_par.rs", clock).is_empty());
+        assert!(cats("crates/bench/src/bin/bench_ckpt.rs", clock).is_empty());
     }
 
     #[test]

@@ -1556,11 +1556,19 @@ mod tests {
             poisoned
         );
         let events = &run.robustness().events;
-        // The head's final ReLU maps NaN features to 0 (`f32::max`), so the
-        // loss stays finite; the parameter scan after the update trips.
+        // The NaN reaches the loss, so the sentinel trips before the update
+        // and the iteration rolls back.
+        let first: Vec<_> = events
+            .iter()
+            .take(2)
+            .map(|e| (e.iteration, e.kind))
+            .collect();
         assert_eq!(
-            events.first().map(|e| e.kind),
-            Some(RobustnessEventKind::NonFiniteParam),
+            first,
+            [
+                (0, RobustnessEventKind::NonFiniteLoss),
+                (0, RobustnessEventKind::RolledBack)
+            ],
             "{events:?}"
         );
     }

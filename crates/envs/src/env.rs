@@ -149,7 +149,8 @@ mod tests {
         c.paint(1, 2, 3, 0.5);
         let obs = c.into_observation();
         assert_eq!(obs.len(), 24);
-        assert_eq!(obs[(1 * 3 + 2) * 4 + 3], 0.5);
+        // Plane 1 of a 3x4 canvas, row 2, column 3.
+        assert_eq!(obs[3 * 4 + 2 * 4 + 3], 0.5);
         assert_eq!(obs.iter().filter(|&&v| v != 0.0).count(), 1);
     }
 

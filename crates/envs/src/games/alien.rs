@@ -25,11 +25,11 @@ pub struct Alien {
 
 fn maze_walls() -> [[bool; GRID]; GRID] {
     let mut walls = [[false; GRID]; GRID];
-    for i in 0..GRID {
-        walls[0][i] = true;
-        walls[GRID - 1][i] = true;
-        walls[i][0] = true;
-        walls[i][GRID - 1] = true;
+    walls[0] = [true; GRID];
+    walls[GRID - 1] = [true; GRID];
+    for row in &mut walls {
+        row[0] = true;
+        row[GRID - 1] = true;
     }
     // Interior pillars at even/even coordinates form a lattice of corridors.
     for r in (2..GRID - 1).step_by(2) {
@@ -121,7 +121,7 @@ impl Alien {
     }
 
     fn caught(&self) -> bool {
-        self.chasers.iter().any(|&c| c == self.player)
+        self.chasers.contains(&self.player)
     }
 }
 
@@ -271,12 +271,9 @@ mod tests {
                 }
             }
         }
-        for r in 0..GRID {
-            for c in 0..GRID {
-                assert_eq!(
-                    seen[r][c], !env.walls[r][c],
-                    "cell ({r},{c}) reachability mismatch"
-                );
+        for (r, (seen_row, wall_row)) in seen.iter().zip(&env.walls).enumerate() {
+            for (c, (&seen, &wall)) in seen_row.iter().zip(wall_row).enumerate() {
+                assert_eq!(seen, !wall, "cell ({r},{c}) reachability mismatch");
             }
         }
     }

@@ -102,11 +102,9 @@ impl Environment for Assault {
         match action {
             1 => self.player = clamp(self.player - 1, 0, GRID as isize - 1),
             2 => self.player = clamp(self.player + 1, 0, GRID as isize - 1),
-            3 => {
-                if self.heat < HEAT_LIMIT {
-                    self.shots.push((PLAYER_ROW - 1, self.player));
-                    self.heat += 2;
-                }
+            3 if self.heat < HEAT_LIMIT => {
+                self.shots.push((PLAYER_ROW - 1, self.player));
+                self.heat += 2;
             }
             _ => {}
         }
@@ -149,7 +147,7 @@ impl Environment for Assault {
                 d.row += 1;
             }
         }
-        if self.clock % 5 == 0 {
+        if self.clock.is_multiple_of(5) {
             if let Some(d) = self.drones.first() {
                 self.bombs.push((d.row + 1, d.col));
             }
@@ -164,7 +162,7 @@ impl Environment for Assault {
             *r < GRID as isize
         });
 
-        if self.clock % 4 == 0 && self.drones.len() < 5 {
+        if self.clock.is_multiple_of(4) && self.drones.len() < 5 {
             let dir = if self.rng.gen_bool(0.5) { 1 } else { -1 };
             self.drones.push(Drone {
                 row: self.rng.gen_range(1..4),

@@ -53,7 +53,7 @@ impl Asterix {
     }
 
     fn respawn_lane(&mut self, lane: usize) {
-        let dir = if lane % 2 == 0 { 1 } else { -1 };
+        let dir = if lane.is_multiple_of(2) { 1 } else { -1 };
         self.lanes[lane] = LaneObject {
             col: if dir > 0 { 0 } else { GRID as isize - 1 },
             dir,

@@ -165,15 +165,13 @@ impl Environment for Asteroids {
                 self.ship.1 = clamp(self.ship.1 + 1, 0, GRID as isize - 1);
                 self.facing = (0, 1);
             }
-            5 => {
-                if self.bullet.is_none() {
-                    self.bullet = Some((
-                        self.ship.0 + self.facing.0,
-                        self.ship.1 + self.facing.1,
-                        self.facing.0,
-                        self.facing.1,
-                    ));
-                }
+            5 if self.bullet.is_none() => {
+                self.bullet = Some((
+                    self.ship.0 + self.facing.0,
+                    self.ship.1 + self.facing.1,
+                    self.facing.0,
+                    self.facing.1,
+                ));
             }
             _ => {}
         }
@@ -204,7 +202,7 @@ impl Environment for Asteroids {
         // Rocks drift (big rocks every other step), wrapping at edges.
         for rock in &mut self.rocks {
             let moves = if rock.big {
-                u32::from((self.clock + rock.phase) % 2 == 0)
+                u32::from((self.clock + rock.phase).is_multiple_of(2))
             } else {
                 1
             };
@@ -215,7 +213,7 @@ impl Environment for Asteroids {
         }
 
         // Keep the field populated.
-        if self.clock % 10 == 0 && self.rocks.len() < 6 {
+        if self.clock.is_multiple_of(10) && self.rocks.len() < 6 {
             let r = self.spawn_rock(true);
             self.rocks.push(r);
         }

@@ -139,7 +139,7 @@ impl Environment for Atlantis {
         }
 
         // Spawns.
-        if self.clock % 3 == 0 && self.raiders.len() < 5 {
+        if self.clock.is_multiple_of(3) && self.raiders.len() < 5 {
             let dir = if self.rng.gen_bool(0.5) { 1 } else { -1 };
             self.raiders.push(Raider {
                 row: self.rng.gen_range(1..5),

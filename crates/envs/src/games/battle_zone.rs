@@ -128,15 +128,13 @@ impl Environment for BattleZone {
                 self.player.1 = clamp(self.player.1 + 1, 0, GRID as isize - 1);
                 self.facing = (0, 1);
             }
-            5 => {
-                if self.shell.is_none() {
-                    self.shell = Some((
-                        self.player.0 + self.facing.0,
-                        self.player.1 + self.facing.1,
-                        self.facing.0,
-                        self.facing.1,
-                    ));
-                }
+            5 if self.shell.is_none() => {
+                self.shell = Some((
+                    self.player.0 + self.facing.0,
+                    self.player.1 + self.facing.1,
+                    self.facing.0,
+                    self.facing.1,
+                ));
             }
             _ => {}
         }
@@ -167,7 +165,7 @@ impl Environment for BattleZone {
         }
 
         // Enemies advance toward the player every other step.
-        if self.clock % 2 == 0 {
+        if self.clock.is_multiple_of(2) {
             let (pr, pc) = self.player;
             for e in &mut self.enemies {
                 if self.rng.gen_bool(0.8) {
@@ -180,7 +178,7 @@ impl Environment for BattleZone {
             }
         }
 
-        if self.clock % 7 == 0 && self.enemies.len() < 4 {
+        if self.clock.is_multiple_of(7) && self.enemies.len() < 4 {
             self.spawn_enemy();
         }
 

@@ -49,7 +49,7 @@ impl BeamRider {
     }
 
     fn spawn_period(&self) -> u32 {
-        (5 - self.sector.min(3)) as u32
+        5 - self.sector.min(3)
     }
 
     fn observe(&self) -> Vec<f32> {
@@ -102,10 +102,8 @@ impl Environment for BeamRider {
         match action {
             1 => self.ship_beam = self.ship_beam.saturating_sub(1),
             2 => self.ship_beam = (self.ship_beam + 1).min(BEAMS.len() - 1),
-            3 => {
-                if self.shots.len() < 2 {
-                    self.shots.push((SHIP_ROW - 1, self.ship_beam));
-                }
+            3 if self.shots.len() < 2 => {
+                self.shots.push((SHIP_ROW - 1, self.ship_beam));
             }
             _ => {}
         }
@@ -130,7 +128,7 @@ impl Environment for BeamRider {
                     self.enemies.swap_remove(i);
                     self.kills += 1;
                     reward += 1.0;
-                    if self.kills % 15 == 0 {
+                    if self.kills.is_multiple_of(15) {
                         reward += 10.0;
                         self.sector += 1;
                     }
@@ -145,14 +143,14 @@ impl Environment for BeamRider {
         self.shots = surviving_shots;
 
         // Enemies descend every other step.
-        if self.clock % 2 == 0 {
+        if self.clock.is_multiple_of(2) {
             for e in &mut self.enemies {
                 e.row += 1;
             }
         }
 
         // Spawn cadence tightens with the sector.
-        if self.clock % self.spawn_period().max(1) == 0 && self.enemies.len() < 6 {
+        if self.clock.is_multiple_of(self.spawn_period().max(1)) && self.enemies.len() < 6 {
             let beam = self.rng.gen_range(0..BEAMS.len());
             self.enemies.push(Enemy { row: 0, beam });
         }

@@ -132,10 +132,8 @@ impl Environment for Centipede {
         match action {
             1 => self.player = clamp(self.player - 1, 0, GRID as isize - 1),
             2 => self.player = clamp(self.player + 1, 0, GRID as isize - 1),
-            3 => {
-                if self.shot.is_none() {
-                    self.shot = Some((PLAYER_ROW - 1, self.player));
-                }
+            3 if self.shot.is_none() => {
+                self.shot = Some((PLAYER_ROW - 1, self.player));
             }
             _ => {}
         }
@@ -171,7 +169,7 @@ impl Environment for Centipede {
         }
 
         // Centipede marches every other step.
-        if self.clock % 2 == 0 {
+        if self.clock.is_multiple_of(2) {
             self.advance_centipede();
         }
 

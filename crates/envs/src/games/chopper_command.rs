@@ -107,11 +107,9 @@ impl Environment for ChopperCommand {
                 self.chopper.1 = clamp(self.chopper.1 + 1, 0, GRID as isize - 1);
                 self.facing = 1;
             }
-            5 => {
-                if self.rocket.is_none() {
-                    self.rocket =
-                        Some((self.chopper.0, self.chopper.1 + self.facing, self.facing));
-                }
+            5 if self.rocket.is_none() => {
+                self.rocket =
+                    Some((self.chopper.0, self.chopper.1 + self.facing, self.facing));
             }
             _ => {}
         }
@@ -152,7 +150,7 @@ impl Environment for ChopperCommand {
                 j.col += j.dir;
             }
         }
-        if self.clock % 9 == 0 {
+        if self.clock.is_multiple_of(9) {
             if let Some(j) = self.jets.iter_mut().find(|j| !j.diving) {
                 if !trucks.is_empty() {
                     j.diving = true;
@@ -177,14 +175,14 @@ impl Environment for ChopperCommand {
         }
 
         // Convoy crawls right, wrapping.
-        if self.clock % 6 == 0 {
+        if self.clock.is_multiple_of(6) {
             for t in &mut self.trucks {
                 *t = (*t + 1) % GRID as isize;
             }
         }
 
         // Spawns.
-        if self.clock % 4 == 0 && self.jets.len() < 5 {
+        if self.clock.is_multiple_of(4) && self.jets.len() < 5 {
             let dir = if self.rng.gen_bool(0.5) { 1 } else { -1 };
             self.jets.push(Jet {
                 row: self.rng.gen_range(1..7),

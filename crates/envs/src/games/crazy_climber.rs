@@ -145,7 +145,7 @@ impl Environment for CrazyClimber {
             if hit {
                 self.lose_grip();
             }
-            if self.clock % 4 == 0 && self.pots.len() < 3 {
+            if self.clock.is_multiple_of(4) && self.pots.len() < 3 {
                 let c = self.rng.gen_range(BUILDING_LEFT..=BUILDING_RIGHT);
                 self.pots.push((0, c));
             }

@@ -117,10 +117,8 @@ impl Environment for DemonAttack {
         match action {
             1 => self.player = clamp(self.player - 1, 0, GRID as isize - 1),
             2 => self.player = clamp(self.player + 1, 0, GRID as isize - 1),
-            3 => {
-                if self.shot.is_none() {
-                    self.shot = Some((PLAYER_ROW - 1, self.player));
-                }
+            3 if self.shot.is_none() => {
+                self.shot = Some((PLAYER_ROW - 1, self.player));
             }
             _ => {}
         }
@@ -172,7 +170,7 @@ impl Environment for DemonAttack {
             }
         }
         // Periodically one hovering demon begins a swoop.
-        if self.clock % 6 == 0 {
+        if self.clock.is_multiple_of(6) {
             if let Some(d) = self
                 .demons
                 .iter_mut()

@@ -154,7 +154,7 @@ impl Environment for Qbert {
             // at the bottom.
             match self.ball {
                 None => {
-                    if self.clock % self.ball_period == 0 {
+                    if self.clock.is_multiple_of(self.ball_period) {
                         self.ball = Some((0, 0));
                     }
                 }

@@ -126,14 +126,12 @@ impl Environment for Seaquest {
                 self.sub.1 = clamp(self.sub.1 + 1, 0, GRID as isize - 1);
                 self.facing = 1;
             }
-            5 => {
-                if self.torpedo.is_none() {
-                    self.torpedo = Some(Mover {
-                        row: self.sub.0,
-                        col: self.sub.1 + self.facing,
-                        dir: self.facing,
-                    });
-                }
+            5 if self.torpedo.is_none() => {
+                self.torpedo = Some(Mover {
+                    row: self.sub.0,
+                    col: self.sub.1 + self.facing,
+                    dir: self.facing,
+                });
             }
             _ => {}
         }
@@ -166,11 +164,11 @@ impl Environment for Seaquest {
         }
 
         // Spawns.
-        if self.clock % 4 == 0 && self.enemies.len() < 6 {
+        if self.clock.is_multiple_of(4) && self.enemies.len() < 6 {
             let m = self.spawn_mover(3, GRID as isize - 1);
             self.enemies.push(m);
         }
-        if self.clock % 17 == 0 && self.divers.len() < 2 {
+        if self.clock.is_multiple_of(17) && self.divers.len() < 2 {
             let m = self.spawn_mover(4, GRID as isize - 2);
             self.divers.push(m);
         }
@@ -180,7 +178,7 @@ impl Environment for Seaquest {
             e.col += e.dir;
         }
         self.enemies.retain(|e| (0..GRID as isize).contains(&e.col));
-        if self.clock % 2 == 0 {
+        if self.clock.is_multiple_of(2) {
             for d in &mut self.divers {
                 d.col += d.dir;
             }

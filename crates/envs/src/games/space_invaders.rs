@@ -128,10 +128,8 @@ impl Environment for SpaceInvaders {
         match action {
             1 => self.player = clamp(self.player - 1, 0, GRID as isize - 1),
             2 => self.player = clamp(self.player + 1, 0, GRID as isize - 1),
-            3 => {
-                if self.bullet.is_none() {
-                    self.bullet = Some((PLAYER_ROW - 1, self.player));
-                }
+            3 if self.bullet.is_none() => {
+                self.bullet = Some((PLAYER_ROW - 1, self.player));
             }
             _ => {}
         }
@@ -166,7 +164,7 @@ impl Environment for SpaceInvaders {
         }
 
         // Wave marches on its cadence.
-        if self.clock % self.move_period == 0 && self.alive_count() > 0 {
+        if self.clock.is_multiple_of(self.move_period) && self.alive_count() > 0 {
             // alive_count() > 0 above guarantees the wave is non-empty.
             let occupied: Vec<isize> = self.alien_cells().iter().map(|&(_, c, _)| c).collect();
             let min_c = occupied.iter().copied().fold(isize::MAX, isize::min);
@@ -182,7 +180,7 @@ impl Environment for SpaceInvaders {
         }
 
         // Random alien drops a bomb.
-        if self.clock % 6 == 0 {
+        if self.clock.is_multiple_of(6) {
             let cells = self.alien_cells();
             if !cells.is_empty() {
                 let (r, c, _) = cells[self.rng.gen_range(0..cells.len())];

@@ -44,7 +44,7 @@ impl TimePilot {
     }
 
     fn spawn_period(&self) -> u32 {
-        (6 - (self.kills / 8).min(4)) as u32
+        6 - (self.kills / 8).min(4)
     }
 
     fn spawn_enemy(&mut self) {
@@ -106,11 +106,9 @@ impl Environment for TimePilot {
         self.clock += 1;
         match action {
             1..=4 => self.facing = action - 1,
-            5 => {
-                if self.shot.is_none() {
-                    let (dr, dc) = DIRS[self.facing];
-                    self.shot = Some((CENTRE.0 + dr, CENTRE.1 + dc, self.facing));
-                }
+            5 if self.shot.is_none() => {
+                let (dr, dc) = DIRS[self.facing];
+                self.shot = Some((CENTRE.0 + dr, CENTRE.1 + dc, self.facing));
             }
             _ => {}
         }
@@ -130,7 +128,7 @@ impl Environment for TimePilot {
                     self.enemies.swap_remove(i);
                     self.kills += 1;
                     reward += 1.0;
-                    if self.kills % 8 == 0 {
+                    if self.kills.is_multiple_of(8) {
                         reward += 10.0; // era cleared
                     }
                     live = false;
@@ -145,7 +143,7 @@ impl Environment for TimePilot {
         }
 
         // Enemies converge on the centre every other step, with jitter.
-        if self.clock % 2 == 0 {
+        if self.clock.is_multiple_of(2) {
             for e in &mut self.enemies {
                 if self.rng.gen_bool(0.85) {
                     if (e.0 - CENTRE.0).abs() > (e.1 - CENTRE.1).abs() {
@@ -157,11 +155,11 @@ impl Environment for TimePilot {
             }
         }
 
-        if self.clock % self.spawn_period().max(1) == 0 && self.enemies.len() < 5 {
+        if self.clock.is_multiple_of(self.spawn_period().max(1)) && self.enemies.len() < 5 {
             self.spawn_enemy();
         }
 
-        if self.enemies.iter().any(|&e| e == CENTRE) {
+        if self.enemies.contains(&CENTRE) {
             self.done = true;
         }
 

@@ -30,11 +30,11 @@ pub struct WizardOfWor {
 
 fn maze_walls() -> [[bool; GRID]; GRID] {
     let mut walls = [[false; GRID]; GRID];
-    for i in 0..GRID {
-        walls[0][i] = true;
-        walls[GRID - 1][i] = true;
-        walls[i][0] = true;
-        walls[i][GRID - 1] = true;
+    walls[0] = [true; GRID];
+    walls[GRID - 1] = [true; GRID];
+    for row in &mut walls {
+        row[0] = true;
+        row[GRID - 1] = true;
     }
     for r in (2..GRID - 1).step_by(2) {
         for c in (2..GRID - 1).step_by(2) {
@@ -162,15 +162,13 @@ impl Environment for WizardOfWor {
                     self.player = (nr, nc);
                 }
             }
-            5 => {
-                if self.shot.is_none() {
-                    self.shot = Some((
-                        self.player.0 + self.facing.0,
-                        self.player.1 + self.facing.1,
-                        self.facing.0,
-                        self.facing.1,
-                    ));
-                }
+            5 if self.shot.is_none() => {
+                self.shot = Some((
+                    self.player.0 + self.facing.0,
+                    self.player.1 + self.facing.1,
+                    self.facing.0,
+                    self.facing.1,
+                ));
             }
             _ => {}
         }
@@ -206,7 +204,7 @@ impl Environment for WizardOfWor {
         }
 
         // Monsters move every other step; the Worluk every step.
-        if self.clock % 2 == 0 {
+        if self.clock.is_multiple_of(2) {
             for i in 0..self.monsters.len() {
                 self.monster_step(i);
             }
@@ -235,7 +233,7 @@ impl Environment for WizardOfWor {
             }
         }
 
-        let touched = self.monsters.iter().any(|&m| m == self.player)
+        let touched = self.monsters.contains(&self.player)
             || self.worluk == Some(self.player);
         if touched {
             self.done = true;

@@ -190,12 +190,18 @@ impl Var {
         self.unary(value, Box::new(move |g| vec![(a, g.clone())]))
     }
 
-    /// Rectified linear unit `max(x, 0)`.
+    /// Rectified linear unit `max(x, 0)`, except that NaN propagates: a
+    /// non-finite activation must reach the loss, where the non-finite
+    /// sentinel sees it before the update (`f32::max` would map it to 0).
+    /// Every other input gets the bits optimised code gives `x.max(0.0)`:
+    /// `-0` and negative subnormals become `+0`. The comparison pins that
+    /// sign, which `f32::max` leaves open for a zero result.
     #[must_use]
     pub fn relu(&self) -> Var {
         let a = self.id;
         let x = self.value();
-        let value = x.map(|v| v.max(0.0));
+        // NaN fails the comparison and passes through unchanged.
+        let value = x.map(|v| if v <= 0.0 { 0.0 } else { v });
         self.unary(
             value,
             Box::new(move |g| {
@@ -1306,6 +1312,51 @@ mod tests {
         let a = t1.leaf(Tensor::scalar(1.0));
         let b = t2.leaf(Tensor::scalar(2.0));
         let _ = a.add(&b);
+    }
+
+    #[test]
+    fn relu_propagates_nan_and_keeps_the_bits_of_max_elsewhere() {
+        let neg_subnormal = -f32::from_bits(1);
+        let pos_subnormal = f32::from_bits(1);
+        let inputs = [
+            -0.0,
+            0.0,
+            neg_subnormal,
+            pos_subnormal,
+            -1.5,
+            1.5,
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+            f32::MIN,
+            f32::MAX,
+        ];
+        let tape = Tape::new();
+        let y = leaf(&tape, inputs.to_vec(), &[inputs.len()]).relu();
+        let want: [u32; 10] = [
+            0,
+            0,
+            0,
+            pos_subnormal.to_bits(),
+            0,
+            1.5f32.to_bits(),
+            0,
+            f32::INFINITY.to_bits(),
+            0,
+            f32::MAX.to_bits(),
+        ];
+        let got: Vec<u32> = y.value().data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
+
+        // NaN passes through with its bits, sign and payload included.
+        let nans = [f32::NAN, -f32::NAN, f32::from_bits(0x7fc0_0001)];
+        let y = leaf(&tape, nans.to_vec(), &[3]).relu();
+        let got: Vec<u32> = y.value().data().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, nans.map(f32::to_bits));
+
+        // The backward is unchanged: NaN inputs pass no gradient.
+        let x = leaf(&tape, vec![f32::NAN, -2.0, 3.0], &[3]);
+        x.relu().sum().backward();
+        assert_eq!(x.grad().unwrap().data(), &[0.0, 0.0, 1.0]);
     }
 
     #[test]

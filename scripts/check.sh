@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local verification gate: build, test, static lint ratchet, and
-# clippy-clean a3cs-check, a3cs-tensor, a3cs-nn, a3cs-nas, a3cs-core,
-# a3cs-drl and a3cs-fleet crates. Run from anywhere inside the repo.
+# clippy-clean first-party crates (every `crates/*` member plus the root
+# `a3cs` package). Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,8 +41,9 @@ cargo run -q -p a3cs-check --bin lint -- --deny-new
 echo "==> threadpool tests under -D warnings"
 RUSTFLAGS="-D warnings" cargo test -q -p threadpool
 
-echo "==> clippy (a3cs-check + a3cs-tensor + a3cs-nn + a3cs-nas + a3cs-core + a3cs-drl + a3cs-fleet, -D warnings)"
+echo "==> clippy (every first-party crate, -D warnings)"
 cargo clippy -q -p a3cs-check -p a3cs-tensor -p a3cs-nn -p a3cs-nas -p a3cs-core -p a3cs-drl \
-    -p a3cs-fleet --all-targets --no-deps -- -D warnings
+    -p a3cs-fleet -p a3cs-envs -p a3cs-bench -p a3cs-accel -p a3cs-obs -p a3cs \
+    --all-targets --no-deps -- -D warnings
 
 echo "all checks passed"

@@ -8,7 +8,7 @@ use a3cs::core::{
     CoSearch, CoSearchConfig, CoSearchResult, FaultPlan, RobustnessEventKind, SearchError,
 };
 use a3cs::envs::{Breakout, Environment};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn factory(seed: u64) -> Box<dyn Environment> {
     Box::new(Breakout::new(seed))
@@ -240,9 +240,9 @@ fn run_rejects_abort_plans() {
 
 // --- durable delta checkpointing (DESIGN.md §17) -------------------------
 
-fn delta_config(total_steps: u64, dir: &PathBuf) -> CoSearchConfig {
+fn delta_config(total_steps: u64, dir: &Path) -> CoSearchConfig {
     let mut cfg = tiny_config(total_steps);
-    cfg.fault.checkpoint_dir = Some(dir.clone());
+    cfg.fault.checkpoint_dir = Some(dir.to_path_buf());
     cfg
 }
 
