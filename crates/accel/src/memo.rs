@@ -29,7 +29,7 @@
 //! ([`PerfModel::chunk_partial`] / [`PerfModel::assemble`]) that the
 //! direct [`PerfModel::evaluate_dims`] runs.
 
-use crate::predictor::{ChunkPartial, CostWeights, LayerDims, PerfModel, PerfReport};
+use crate::predictor::{ChunkLayers, ChunkPartial, CostWeights, LayerDims, PerfModel, PerfReport};
 use crate::space::SearchSpace;
 use crate::template::{AcceleratorConfig, ChunkConfig, Dataflow, NocTopology};
 use crate::zc706::FpgaTarget;
@@ -250,6 +250,34 @@ impl Context {
             key: h.finish(),
         }
     }
+
+    /// Whether [`Context::build`] on these inputs would rebuild this
+    /// context: every value the digest folds is equal, floats by their
+    /// bits (as the digest folds them).
+    fn matches(
+        &self,
+        space: &SearchSpace,
+        num_chunks: usize,
+        layers: &[LayerDesc],
+        target: &FpgaTarget,
+        weights: &CostWeights,
+    ) -> bool {
+        let same_bits = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        self.num_chunks == num_chunks
+            && self.target.dsp_limit == target.dsp_limit
+            && self.target.bram_kb_limit == target.bram_kb_limit
+            && same_bits(self.target.clock_mhz, target.clock_mhz)
+            && same_bits(self.target.dram_gbps, target.dram_gbps)
+            && same_bits(self.weights.resource_penalty, weights.resource_penalty)
+            && same_bits(self.weights.energy_weight, weights.energy_weight)
+            && self.dims.len() == layers.len()
+            && self
+                .dims
+                .iter()
+                .zip(layers)
+                .all(|(d, layer)| *d == LayerDims::from_desc(layer))
+            && self.space == *space
+    }
 }
 
 /// A cost model the search engines evaluate candidates through:
@@ -260,7 +288,8 @@ pub trait CostModel {
     /// Bind the model to an evaluation context. Must be called before any
     /// scoring; calling it again with different arguments re-binds (and,
     /// for the cached model, invalidates stale entries via the generation
-    /// tag).
+    /// tag). The cached model returns at once, without allocating or
+    /// hashing, when the arguments equal the bound context's.
     fn begin(
         &mut self,
         space: &SearchSpace,
@@ -383,6 +412,10 @@ pub struct CachedCostModel {
     generation: u32,
     stats: MemoStats,
     ctx: Option<Context>,
+    /// [`CachedCostModel::evaluate_config`]'s working storage, kept
+    /// between calls so an evaluation allocates only its report.
+    groups: ChunkLayers,
+    partials: Vec<ChunkPartial>,
 }
 
 impl CachedCostModel {
@@ -402,6 +435,8 @@ impl CachedCostModel {
             generation: 1,
             stats: MemoStats::default(),
             ctx: None,
+            groups: ChunkLayers::default(),
+            partials: Vec::new(),
         }
     }
 
@@ -484,6 +519,8 @@ impl CachedCostModel {
             generation,
             stats,
             ctx,
+            groups,
+            partials,
             ..
         } = self;
         let ctx = bound_ctx(ctx);
@@ -493,51 +530,49 @@ impl CachedCostModel {
             "assignment must cover every layer of the bound network"
         );
         assert!(accel.assignment_valid(), "assignment indexes missing chunk");
-        let assigned = PerfModel::assigned_layers(accel);
-        let bw_share = PerfModel::bandwidth_share(accel, &ctx.target);
-        let partials: Vec<ChunkPartial> = accel
-            .chunks
-            .iter()
-            .zip(assigned.iter())
-            .map(|(chunk, layer_ids)| {
-                let mut h = KeyHasher::seeded(ctx.key);
-                h.word(chunk_key(chunk));
-                h.float(bw_share);
-                h.index(layer_ids.len());
-                for &l in layer_ids {
-                    h.index(l);
-                }
-                let key = h.finish();
-                let slot = (key & *mask) as usize;
-                let entry = &mut chunk_table[slot];
-                if entry.generation == *generation && entry.key == key {
-                    stats.chunk_hits += 1;
-                    telemetry::MEMO_CHUNK_HITS.add(1);
-                    return ChunkPartial {
-                        cycles: entry.cycles,
-                        energy: entry.energy,
-                        thrashing: entry.thrashing as usize,
-                    };
-                }
-                stats.chunk_misses += 1;
-                if entry.generation == *generation && entry.key != 0 {
-                    stats.chunk_evictions += 1;
-                    telemetry::MEMO_EVICTIONS.add(1);
-                }
-                let partial = PerfModel::chunk_partial(chunk, &ctx.dims, layer_ids, bw_share);
-                *entry = ChunkEntry {
-                    key,
-                    cycles: partial.cycles,
-                    energy: partial.energy,
-                    // Layer counts are far below 2^32; widening back is
-                    // lossless.
-                    thrashing: partial.thrashing as u32,
-                    generation: *generation,
-                };
-                partial
-            })
-            .collect();
-        PerfModel::assemble(accel, &ctx.target, &partials)
+        groups.fill(accel);
+        let bw_share = PerfModel::bandwidth_share(groups, &ctx.target);
+        partials.clear();
+        for (c, chunk) in accel.chunks.iter().enumerate() {
+            let layer_ids = groups.chunk(c);
+            let mut h = KeyHasher::seeded(ctx.key);
+            h.word(chunk_key(chunk));
+            h.float(bw_share);
+            h.index(layer_ids.len());
+            for &l in layer_ids {
+                h.index(l);
+            }
+            let key = h.finish();
+            let slot = (key & *mask) as usize;
+            let entry = &mut chunk_table[slot];
+            if entry.generation == *generation && entry.key == key {
+                stats.chunk_hits += 1;
+                telemetry::MEMO_CHUNK_HITS.add(1);
+                partials.push(ChunkPartial {
+                    cycles: entry.cycles,
+                    energy: entry.energy,
+                    thrashing: entry.thrashing as usize,
+                });
+                continue;
+            }
+            stats.chunk_misses += 1;
+            if entry.generation == *generation && entry.key != 0 {
+                stats.chunk_evictions += 1;
+                telemetry::MEMO_EVICTIONS.add(1);
+            }
+            let partial = PerfModel::chunk_partial(chunk, &ctx.dims, layer_ids, bw_share);
+            *entry = ChunkEntry {
+                key,
+                cycles: partial.cycles,
+                energy: partial.energy,
+                // Layer counts are far below 2^32; widening back is
+                // lossless.
+                thrashing: partial.thrashing as u32,
+                generation: *generation,
+            };
+            partials.push(partial);
+        }
+        PerfModel::assemble(accel, &ctx.target, partials)
     }
 
     /// Memoized scalar cost of a decoded config (full-table fast path,
@@ -574,9 +609,18 @@ impl CostModel for CachedCostModel {
         target: &FpgaTarget,
         weights: &CostWeights,
     ) {
-        // Cheap re-bind check: rebuilding the context digest is a few
-        // hundred word folds; only a *changed* digest pays the (lazy)
-        // invalidation cost of a generation bump.
+        // A search re-binds before every step, almost always to the same
+        // context: comparing the inputs is far cheaper than rebuilding
+        // and re-hashing them.
+        if self
+            .ctx
+            .as_ref()
+            .is_some_and(|c| c.matches(space, num_chunks, layers, target, weights))
+        {
+            return;
+        }
+        // Only a *changed* digest pays the (lazy) invalidation cost of a
+        // generation bump.
         let next = Context::build(space, num_chunks, layers, target, weights);
         let changed = self.ctx.as_ref().is_none_or(|c| c.key != next.key);
         if changed {
@@ -719,6 +763,47 @@ mod tests {
         cached.begin(&space, 1, &layers, &target, &w0);
         assert_eq!(cost0.to_bits(), cached.cost_choices(&c).to_bits());
         assert!(cached.stats().generations >= 3);
+    }
+
+    #[test]
+    fn rebind_compares_floats_by_their_bits() {
+        // `begin` skips the rebuild only when the digest's inputs are
+        // bit-equal: a zero weight that flips sign changes the digest, so
+        // it is a new context even though `-0.0 == 0.0`.
+        let space = tiny_space();
+        let layers = layers();
+        let target = FpgaTarget::zc706();
+        let zero = CostWeights {
+            energy_weight: 0.0,
+            ..CostWeights::default()
+        };
+        let negative_zero = CostWeights {
+            energy_weight: -0.0,
+            ..CostWeights::default()
+        };
+        let mut cached = CachedCostModel::new(8);
+        let mut direct = DirectCost::new();
+        let mut rng = StdRng::seed_from_u64(13);
+        let c = random_choices(&space, 2, layers.len(), &mut rng);
+        for (i, (weights, generations)) in [
+            (zero, 1),
+            (zero, 1),
+            (negative_zero, 2),
+            (negative_zero, 2),
+            (zero, 3),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            cached.begin(&space, 2, &layers, &target, &weights);
+            direct.begin(&space, 2, &layers, &target, &weights);
+            assert_eq!(cached.stats().generations, generations, "bind {i}");
+            assert_eq!(
+                cached.cost_choices(&c).to_bits(),
+                direct.cost_choices(&c).to_bits(),
+                "bind {i}"
+            );
+        }
     }
 
     #[test]

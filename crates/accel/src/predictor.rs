@@ -147,6 +147,67 @@ pub struct ChunkPartial {
     pub thrashing: usize,
 }
 
+/// The layers of each chunk, in layer order: a design's assignment
+/// grouped by chunk in one flat buffer, so [`ChunkLayers::fill`] reuses
+/// its storage from one design to the next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ChunkLayers {
+    /// `ends[c]` is one past chunk `c`'s last entry in `layers`; chunk
+    /// `c` starts where chunk `c - 1` ends.
+    ends: Vec<usize>,
+    layers: Vec<usize>,
+}
+
+impl ChunkLayers {
+    /// Group `accel`'s layers by chunk (a stable counting sort of the
+    /// assignment).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an assignment entry indexes a missing chunk.
+    pub(crate) fn fill(&mut self, accel: &AcceleratorConfig) {
+        let ChunkLayers { ends, layers } = self;
+        ends.clear();
+        ends.resize(accel.chunks.len(), 0);
+        for &chunk in &accel.assignment {
+            ends[chunk] += 1;
+        }
+        // Counts to starts; placing each layer then advances its chunk's
+        // start to its end.
+        let mut start = 0;
+        for end in ends.iter_mut() {
+            let count = *end;
+            *end = start;
+            start += count;
+        }
+        layers.clear();
+        layers.resize(accel.assignment.len(), 0);
+        for (layer, &chunk) in accel.assignment.iter().enumerate() {
+            layers[ends[chunk]] = layer;
+            ends[chunk] += 1;
+        }
+    }
+
+    /// Chunk `c`'s layer indices, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is not a chunk of the last filled design.
+    #[must_use]
+    pub(crate) fn chunk(&self, c: usize) -> &[usize] {
+        let start = if c == 0 { 0 } else { self.ends[c - 1] };
+        &self.layers[start..self.ends[c]]
+    }
+
+    /// Chunks with at least one layer.
+    #[must_use]
+    pub(crate) fn active(&self) -> usize {
+        (0..self.ends.len())
+            .filter(|&c| !self.chunk(c).is_empty())
+            .count()
+    }
+}
+
 /// Weights of the scalar search cost derived from a [`PerfReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostWeights {
@@ -272,44 +333,26 @@ impl PerfModel {
             "assignment must cover every layer"
         );
         assert!(accel.assignment_valid(), "assignment indexes missing chunk");
-        let assigned = Self::assigned_layers(accel);
-        let bw_share = Self::bandwidth_share(accel, target);
+        let mut groups = ChunkLayers::default();
+        groups.fill(accel);
+        let bw_share = Self::bandwidth_share(&groups, target);
         let partials: Vec<ChunkPartial> = accel
             .chunks
             .iter()
-            .zip(assigned.iter())
-            .map(|(chunk, layer_ids)| Self::chunk_partial(chunk, dims, layer_ids, bw_share))
+            .enumerate()
+            .map(|(c, chunk)| Self::chunk_partial(chunk, dims, groups.chunk(c), bw_share))
             .collect();
         Self::assemble(accel, target, &partials)
     }
 
-    /// Per-chunk lists of assigned layer indices, in layer order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an assignment entry indexes a missing chunk.
+    /// DRAM bytes per cycle available to each *active* chunk of the design
+    /// `groups` was filled from. Bandwidth is shared only among chunks
+    /// with at least one assigned layer: a chunk that never issues a DRAM
+    /// request consumes no bandwidth, so a 4-chunk design routing every
+    /// layer to chunk 0 costs exactly what the 1-chunk design costs.
     #[must_use]
-    pub fn assigned_layers(accel: &AcceleratorConfig) -> Vec<Vec<usize>> {
-        let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); accel.chunks.len()];
-        for (layer, &chunk_idx) in accel.assignment.iter().enumerate() {
-            assigned[chunk_idx].push(layer);
-        }
-        assigned
-    }
-
-    /// DRAM bytes per cycle available to each *active* chunk. Bandwidth is
-    /// shared only among chunks with at least one assigned layer: a chunk
-    /// that never issues a DRAM request consumes no bandwidth, so a
-    /// 4-chunk design routing every layer to chunk 0 costs exactly what
-    /// the 1-chunk design costs.
-    #[must_use]
-    pub fn bandwidth_share(accel: &AcceleratorConfig, target: &FpgaTarget) -> f64 {
-        let mut active = vec![false; accel.chunks.len()];
-        for &chunk_idx in &accel.assignment {
-            active[chunk_idx] = true;
-        }
-        let n = active.iter().filter(|&&a| a).count().max(1);
-        target.dram_bytes_per_cycle() / n as f64
+    pub(crate) fn bandwidth_share(groups: &ChunkLayers, target: &FpgaTarget) -> f64 {
+        target.dram_bytes_per_cycle() / groups.active().max(1) as f64
     }
 
     /// Cycle, energy and thrashing contribution of the layers `assigned`
@@ -658,8 +701,45 @@ mod tests {
             chunks: vec![chunk(8, 8); 4],
             assignment: vec![0, 0, 2, 2],
         };
-        let share = PerfModel::bandwidth_share(&accel, &target);
+        let mut groups = ChunkLayers::default();
+        groups.fill(&accel);
+        let share = PerfModel::bandwidth_share(&groups, &target);
         assert_eq!(share, target.dram_bytes_per_cycle() / 2.0);
+    }
+
+    #[test]
+    fn chunk_layers_match_per_chunk_lists_across_refills() {
+        // The flat grouping must hand `chunk_partial` the same layer lists,
+        // in the same order, as one growable list per chunk, and count the
+        // same active chunks — also when one buffer is refilled with
+        // designs of other sizes.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut groups = ChunkLayers::default();
+        for _ in 0..200 {
+            let chunks = rng.gen_range(1..6);
+            let layers = rng.gen_range(0..40);
+            let mut assignment: Vec<usize> =
+                (0..layers).map(|_| rng.gen_range(0..chunks)).collect();
+            if rng.gen_bool(0.5) {
+                assignment.sort_unstable();
+            }
+            let accel = AcceleratorConfig {
+                chunks: vec![chunk(8, 8); chunks],
+                assignment,
+            };
+            let mut lists: Vec<Vec<usize>> = vec![Vec::new(); chunks];
+            for (layer, &c) in accel.assignment.iter().enumerate() {
+                lists[c].push(layer);
+            }
+            groups.fill(&accel);
+            for (c, list) in lists.iter().enumerate() {
+                assert_eq!(groups.chunk(c), list.as_slice(), "{accel:?}");
+            }
+            let active = lists.iter().filter(|l| !l.is_empty()).count();
+            assert_eq!(groups.active(), active, "{accel:?}");
+        }
     }
 
     #[test]

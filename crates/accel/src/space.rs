@@ -65,6 +65,9 @@ impl Default for SearchSpace {
     }
 }
 
+/// Knobs per chunk (the length of [`SearchSpace::chunk_knob_sizes`]).
+const CHUNK_KNOBS: usize = 10;
+
 /// Number of buffer-split options.
 #[must_use]
 pub(crate) fn buffer_split_count() -> usize {
@@ -225,8 +228,8 @@ impl SearchSpace {
     /// `[pe_rows, pe_cols, noc, dataflow, buffer_total, buffer_split,
     /// tm, tn, tr, tc]`.
     #[must_use]
-    pub fn chunk_knob_sizes(&self) -> Vec<usize> {
-        vec![
+    pub fn chunk_knob_sizes(&self) -> [usize; CHUNK_KNOBS] {
+        [
             self.pe_rows.len(),
             self.pe_cols.len(),
             self.nocs.len(),
@@ -313,33 +316,51 @@ impl SearchSpace {
         num_layers: usize,
         choices: &[usize],
     ) -> Result<AcceleratorConfig, SpaceError> {
-        let per_chunk = self.chunk_knob_sizes().len();
-        let expected = num_chunks * per_chunk + num_layers;
+        let mut accel = AcceleratorConfig {
+            chunks: Vec::with_capacity(num_chunks),
+            assignment: Vec::with_capacity(num_layers),
+        };
+        self.try_decode_into(num_chunks, num_layers, choices, &mut accel)?;
+        Ok(accel)
+    }
+
+    /// [`SearchSpace::try_decode`] into `out`, reusing its storage: once
+    /// `out` has held a design of this size, decoding allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`SearchSpace::try_decode`]; `out` is left partly written.
+    pub(crate) fn try_decode_into(
+        &self,
+        num_chunks: usize,
+        num_layers: usize,
+        choices: &[usize],
+        out: &mut AcceleratorConfig,
+    ) -> Result<(), SpaceError> {
+        let expected = num_chunks * CHUNK_KNOBS + num_layers;
         if choices.len() != expected {
             return Err(SpaceError::AcceleratorArity {
                 expected,
                 actual: choices.len(),
             });
         }
-        let chunks = (0..num_chunks)
-            .map(|c| self.try_decode_chunk(&choices[c * per_chunk..(c + 1) * per_chunk]))
-            .collect::<Result<Vec<_>, _>>()?;
-        let assignment = choices[num_chunks * per_chunk..]
-            .iter()
-            .enumerate()
-            .map(|(layer, &a)| {
-                if a < num_chunks {
-                    Ok(a)
-                } else {
-                    Err(SpaceError::AssignmentOutOfRange {
-                        layer,
-                        assignment: a,
-                        num_chunks,
-                    })
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(AcceleratorConfig { chunks, assignment })
+        let (chunk_choices, assignment) = choices.split_at(num_chunks * CHUNK_KNOBS);
+        out.chunks.clear();
+        for knobs in chunk_choices.chunks_exact(CHUNK_KNOBS) {
+            out.chunks.push(self.try_decode_chunk(knobs)?);
+        }
+        out.assignment.clear();
+        for (layer, &a) in assignment.iter().enumerate() {
+            if a >= num_chunks {
+                return Err(SpaceError::AssignmentOutOfRange {
+                    layer,
+                    assignment: a,
+                    num_chunks,
+                });
+            }
+            out.assignment.push(a);
+        }
+        Ok(())
     }
 
     /// Panicking convenience wrapper around [`SearchSpace::try_decode`].

@@ -8,11 +8,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q --workspace"
+echo "==> cargo test -q --workspace (includes tests/fault_tolerance.rs: crash-resume equivalence + fault injection)"
 cargo test -q --workspace
-
-echo "==> crash-resume equivalence + fault-injection smoke"
-cargo test -q --test fault_tolerance
 
 echo "==> telemetry smoke (tiny co-search, JSONL schema + phase spans)"
 cargo run -q --release -p a3cs-bench --bin telemetry_smoke
