@@ -111,7 +111,7 @@ struct RunState {
 /// First parameter containing a non-finite value, if any.
 fn first_non_finite(params: &[Param], what: &str) -> Option<String> {
     params.iter().find_map(|p| {
-        if p.value().data().iter().any(|x| !x.is_finite()) {
+        if p.value_ref().data().iter().any(|x| !x.is_finite()) {
             Some(format!("{what} parameter {:?} is non-finite", p.name()))
         } else {
             None

@@ -409,41 +409,20 @@ impl Module for BatchNorm2d {
         let gamma = self.gamma.bind(tape);
         let beta = self.beta.bind(tape);
         if train {
-            // Update running statistics from the batch.
-            let v = x.value();
-            let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-            let m = (n * h * w) as f32;
-            let hw = h * w;
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for ci in 0..c {
-                let mut acc = 0.0f32;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * hw;
-                    acc += v.data()[base..base + hw].iter().sum::<f32>();
-                }
-                mean[ci] = acc / m;
-                let mut vacc = 0.0f32;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * hw;
-                    for &xv in &v.data()[base..base + hw] {
-                        let d = xv - mean[ci];
-                        vacc += d * d;
-                    }
-                }
-                var[ci] = vacc / m;
-            }
+            // Update running statistics from the batch statistics the
+            // output was normalised with.
+            let (y, batch) = x.batch_norm2d(&gamma, &beta, self.eps);
             self.running_mean.update(|rm| {
-                for (rm_v, &mean_c) in rm.data_mut().iter_mut().zip(&mean) {
+                for (rm_v, &mean_c) in rm.data_mut().iter_mut().zip(&batch.mean) {
                     *rm_v = (1.0 - self.momentum) * *rm_v + self.momentum * mean_c;
                 }
             });
             self.running_var.update(|rv| {
-                for (rv_v, &var_c) in rv.data_mut().iter_mut().zip(&var) {
+                for (rv_v, &var_c) in rv.data_mut().iter_mut().zip(&batch.var) {
                     *rv_v = (1.0 - self.momentum) * *rv_v + self.momentum * var_c;
                 }
             });
-            x.batch_norm2d(&gamma, &beta, self.eps)
+            y
         } else {
             let rm = self.running_mean.value();
             let rv = self.running_var.value();
@@ -613,6 +592,37 @@ mod tests {
         let frozen = bn.running_mean();
         let _ = bn.forward(&tape, &x, false);
         assert_eq!(bn.running_mean(), frozen);
+
+        // The running statistics take the bits of the per-channel
+        // double-pass batch mean and biased variance.
+        let (n, c, hw, momentum) = (4, 9, 9, 0.1f32);
+        let bn = BatchNorm2d::new("bn", c);
+        let (mut mean, mut var) = (vec![0.0f32; c], vec![1.0f32; c]);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for seed in [3, 4] {
+            let x = Tensor::randn(&[n, c, 3, 3], 2.0, seed);
+            let _ = bn.forward(&tape, &tape.leaf(x.clone()), true);
+            let m = (n * hw) as f32;
+            for ci in 0..c {
+                let plane = |ni: usize| &x.data()[(ni * c + ci) * hw..(ni * c + ci + 1) * hw];
+                let mut acc = 0.0f32;
+                for ni in 0..n {
+                    acc += plane(ni).iter().sum::<f32>();
+                }
+                let mu = acc / m;
+                let mut vacc = 0.0f32;
+                for ni in 0..n {
+                    for &v in plane(ni) {
+                        let d = v - mu;
+                        vacc += d * d;
+                    }
+                }
+                mean[ci] = (1.0 - momentum) * mean[ci] + momentum * mu;
+                var[ci] = (1.0 - momentum) * var[ci] + momentum * (vacc / m);
+            }
+            assert_eq!(bits(bn.running_mean().data()), bits(&mean), "seed {seed}");
+            assert_eq!(bits(bn.running_var().data()), bits(&var), "seed {seed}");
+        }
     }
 
     #[test]

@@ -217,7 +217,7 @@ mod tests {
             &|t, v| {
                 let gamma = t.leaf(Tensor::from_vec(vec![1.2, 0.8], &[2]).unwrap());
                 let beta = t.leaf(Tensor::from_vec(vec![0.1, -0.2], &[2]).unwrap());
-                v.batch_norm2d(&gamma, &beta, 1e-3).square().sum()
+                v.batch_norm2d(&gamma, &beta, 1e-3).0.square().sum()
             },
             &x,
         );

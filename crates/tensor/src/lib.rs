@@ -39,4 +39,4 @@ pub use linalg::{col2im, im2col, matmul, matmul_a_bt, matmul_at_b, Conv2dGeometr
 pub use shape::{checked_num_elements, num_elements, strides_for, ShapeError, SizeOverflowError};
 pub use tape::Tape;
 pub use tensor::Tensor;
-pub use var::Var;
+pub use var::{BatchStats, Var};

@@ -247,8 +247,9 @@ fn dims2(t: &Tensor, what: &str) -> (usize, usize) {
 
 /// Copy `src`, laid out `[outer, a, b, inner]`, to `[outer, b, a, inner]`:
 /// the NCHW ↔ `[C, N·H·W]` gather and scatter around a batched convolution
-/// GEMM, and the transposes of its weight gradient and of the depthwise
-/// images-last layout.
+/// GEMM, the transpose of its weight gradient, and the NCHW ↔
+/// channels-last (`[N, H·W, C]`) transposes around a depthwise
+/// convolution.
 pub(crate) fn swap_axes(src: &[f32], outer: usize, a: usize, b: usize, inner: usize) -> Vec<f32> {
     assert_eq!(src.len(), outer * a * b * inner, "swap_axes size mismatch");
     let mut out = vec![0.0f32; src.len()];
@@ -324,12 +325,6 @@ impl Conv2dGeometry {
     #[must_use]
     pub fn col_cols(&self) -> usize {
         self.out_h() * self.out_w()
-    }
-
-    /// Multiply–accumulate operations for one input image.
-    #[must_use]
-    pub fn macs_per_image(&self) -> u64 {
-        self.out_channels as u64 * self.col_rows() as u64 * self.col_cols() as u64
     }
 
     /// Per kernel row and per kernel column, the output positions whose tap
@@ -635,7 +630,6 @@ mod tests {
         assert_eq!((g.out_h(), g.out_w()), (4, 4));
         assert_eq!(g.col_rows(), 27);
         assert_eq!(g.col_cols(), 16);
-        assert_eq!(g.macs_per_image(), 8 * 27 * 16);
     }
 
     #[test]

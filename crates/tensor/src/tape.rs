@@ -340,7 +340,7 @@ mod tests {
                 v[0].conv2d(&v[1], geometry((3, 4), 3, 2)),
                 v[0].depthwise_conv2d(&v[2], geometry((3, 3), 3, 1)),
                 v[0].add_bias_channel(&v[3]),
-                v[0].batch_norm2d(&v[3], &v[4], 1e-5),
+                v[0].batch_norm2d(&v[3], &v[4], 1e-5).0,
                 v[0].batch_norm2d_inference(&v[3], &v[4], &mean, &var, 1e-5),
                 v[0].avg_pool2d(2, 2),
                 v[0].max_pool2d(2, 1),

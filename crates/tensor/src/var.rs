@@ -625,7 +625,9 @@ impl Var {
     ///
     /// The whole batch is lowered at once and multiplied by the weight in
     /// one GEMM (see `linalg` for the per-element order that keeps this
-    /// bit-identical to a per-image loop).
+    /// bit-identical to a per-image loop). Its MACs are counted once, by
+    /// those GEMMs in `gemm.macs`; `conv.macs` counts only the depthwise
+    /// work that no GEMM does.
     ///
     /// # Panics
     ///
@@ -655,8 +657,6 @@ impl Var {
         );
         let n = xs[0];
         let (co, per_image, ckk) = (geom.out_channels, geom.col_cols(), geom.col_rows());
-        let macs = geom.macs_per_image().saturating_mul(n as u64);
-        telemetry::CONV_MACS.add(macs);
         // [Co, ckk] @ [ckk, N·P] = [Co, N·P], scattered to [N, Co, P].
         let y = matmul(&w.reshape(&[co, ckk]), &im2col(x.data(), &geom));
         let out = swap_axes(y.data(), 1, co, n, per_image);
@@ -664,7 +664,6 @@ impl Var {
         self.unary(
             value,
             Box::new(move |g| {
-                telemetry::CONV_MACS.add(macs.saturating_mul(2));
                 let gd = g.data();
                 // The lowering is rebuilt here rather than kept on the tape,
                 // and dropped before the input gradient's column matrix.
@@ -690,8 +689,8 @@ impl Var {
     /// `self` is `[N, C, H, W]`; `weight` is `[C, k, k]`. `geom` must have
     /// `in_channels == out_channels == C`.
     ///
-    /// The kernels run on an images-last copy (`[C, H, W, N]`), so every
-    /// tap is one `N`-wide vector operation, and fan out over channels.
+    /// The kernels run on a channels-last copy (`[N, H·W, C]`), so every
+    /// tap is one `C`-wide vector operation, and fan out over images.
     /// Padding bounds are computed once per kernel row and column; taps in
     /// the padding are skipped. Each element keeps the tap order of the
     /// direct per-image loop, and the weight gradient adds one partial per
@@ -741,31 +740,29 @@ impl Var {
                     .map(move |(i, ox)| (oy * ow + ox, iy * wd + t.first + i * s))
             })
         };
-        let mut out = vec![0.0f32; c * out_plane * n];
+        // The `C` channels of position `p` in a channels-last image, or of
+        // tap `p` in the `[k·k, C]` weights.
+        let at = move |p: usize| p * c..(p + 1) * c;
+        let wl = swap_axes(w.data(), 1, c, k * k, 1);
+        let mut out = vec![0.0f32; n * out_plane * c];
         {
-            let xl = swap_axes(x.data(), 1, n, c * plane, 1);
-            let wv = w.data();
+            let xl = swap_axes(x.data(), n, c, plane, 1);
             // Per output element: taps in (ky, kx) order.
-            fan_rows(&mut out, c, out_plane * n, macs as usize, |ci, orow| {
-                let xc = &xl[ci * plane * n..(ci + 1) * plane * n];
+            fan_rows(&mut out, n, out_plane * c, macs as usize, |ni, orow| {
+                let xi = &xl[ni * plane * c..(ni + 1) * plane * c];
                 orow.fill(0.0);
-                for ky in 0..k {
-                    for kx in 0..k {
-                        let wt = wv[(ci * k + ky) * k + kx];
-                        for (o, i) in taps(ky, kx) {
-                            for (acc, &v) in orow[o * n..(o + 1) * n]
-                                .iter_mut()
-                                .zip(&xc[i * n..(i + 1) * n])
-                            {
-                                *acc += v * wt;
-                            }
+                for t in 0..k * k {
+                    let wt = &wl[at(t)];
+                    for (o, i) in taps(t / k, t % k) {
+                        for ((acc, &v), &wv) in orow[at(o)].iter_mut().zip(&xi[at(i)]).zip(wt) {
+                            *acc += v * wv;
                         }
                     }
                 }
             });
         }
         let value = sized(
-            swap_axes(&out, 1, c * out_plane, n, 1),
+            swap_axes(&out, n, out_plane, c, 1),
             &[n, c, oh, ow],
             "depthwise conv output",
         );
@@ -773,56 +770,55 @@ impl Var {
             value,
             Box::new(move |g| {
                 telemetry::CONV_MACS.add(macs.saturating_mul(2));
-                let wv = w.data();
-                let gl = swap_axes(g.data(), 1, n, c * out_plane, 1);
-                let mut dx = vec![0.0f32; c * plane * n];
+                let gl = swap_axes(g.data(), n, c, out_plane, 1);
+                let mut dx = vec![0.0f32; n * plane * c];
                 // Per input element: contributions in (oy, ox) order, which
                 // descending ky and kx visit in ascending oy and ox.
-                fan_rows(&mut dx, c, plane * n, macs as usize, |ci, drow| {
-                    let gc = &gl[ci * out_plane * n..(ci + 1) * out_plane * n];
+                fan_rows(&mut dx, n, plane * c, macs as usize, |ni, drow| {
+                    let gi = &gl[ni * out_plane * c..(ni + 1) * out_plane * c];
                     drow.fill(0.0);
-                    for ky in (0..k).rev() {
-                        for kx in (0..k).rev() {
-                            let wt = wv[(ci * k + ky) * k + kx];
-                            for (o, i) in taps(ky, kx) {
-                                for (d, &gv) in drow[i * n..(i + 1) * n]
-                                    .iter_mut()
-                                    .zip(&gc[o * n..(o + 1) * n])
-                                {
-                                    *d += gv * wt;
-                                }
+                    for t in (0..k * k).rev() {
+                        let wt = &wl[at(t)];
+                        for (o, i) in taps(t / k, t % k) {
+                            for ((d, &gv), &wv) in drow[at(i)].iter_mut().zip(&gi[at(o)]).zip(wt) {
+                                *d += gv * wv;
                             }
                         }
                     }
                 });
                 // Per weight element: one partial per image over (oy, ox),
-                // partials added in image order.
-                let xl = swap_axes(x.data(), 1, n, c * plane, 1);
-                let mut dw = vec![0.0f32; c * k * k];
-                fan_rows(&mut dw, c, k * k, macs as usize, |ci, drow| {
-                    let gc = &gl[ci * out_plane * n..(ci + 1) * out_plane * n];
-                    let xc = &xl[ci * plane * n..(ci + 1) * plane * n];
-                    let mut part = vec![0.0f32; n];
-                    for (t, d) in drow.iter_mut().enumerate() {
-                        part.fill(0.0);
+                // partials added in image order. The channels-last input is
+                // rebuilt here rather than kept on the tape.
+                let xl = swap_axes(x.data(), n, c, plane, 1);
+                let mut parts = vec![0.0f32; n * k * k * c];
+                fan_rows(&mut parts, n, k * k * c, macs as usize, |ni, prow| {
+                    let gi = &gl[ni * out_plane * c..(ni + 1) * out_plane * c];
+                    let xi = &xl[ni * plane * c..(ni + 1) * plane * c];
+                    prow.fill(0.0);
+                    for t in 0..k * k {
+                        let part = &mut prow[at(t)];
                         for (o, i) in taps(t / k, t % k) {
-                            for ((p, &gv), &xv) in part
-                                .iter_mut()
-                                .zip(&gc[o * n..(o + 1) * n])
-                                .zip(&xc[i * n..(i + 1) * n])
-                            {
+                            for ((p, &gv), &xv) in part.iter_mut().zip(&gi[at(o)]).zip(&xi[at(i)]) {
                                 *p += gv * xv;
                             }
                         }
-                        *d = part.iter().fold(0.0, |acc, &p| acc + p);
                     }
                 });
+                let mut dw = vec![0.0f32; k * k * c];
+                for ni in 0..n {
+                    for (d, &p) in dw.iter_mut().zip(&parts[ni * k * k * c..]) {
+                        *d += p;
+                    }
+                }
                 vec![
                     (
                         a,
-                        sized(swap_axes(&dx, 1, c * plane, n, 1), &xs, "depthwise dx"),
+                        sized(swap_axes(&dx, n, plane, c, 1), &xs, "depthwise dx"),
                     ),
-                    (b, sized(dw, &[c, k, k], "depthwise dw")),
+                    (
+                        b,
+                        sized(swap_axes(&dw, 1, k * k, c, 1), &[c, k, k], "depthwise dw"),
+                    ),
                 ]
             }),
         )
@@ -873,14 +869,18 @@ impl Var {
     ///
     /// Statistics are computed over the `(N, H, W)` axes; the full batch-norm
     /// backward (including the dependence of mean/variance on the input) is
-    /// implemented.
+    /// implemented. Also returns the batch statistics the output was
+    /// normalised with, for the caller's running-statistics update.
+    ///
+    /// Every per-channel sum runs in the plain per-channel loop's order;
+    /// only several channels' sums run side by side.
     ///
     /// # Panics
     ///
     /// Panics on rank/shape mismatch, on tape mismatch, or if the per-channel
     /// sample count `N*H*W` is zero.
     #[must_use]
-    pub fn batch_norm2d(&self, gamma: &Var, beta: &Var, eps: f32) -> Var {
+    pub fn batch_norm2d(&self, gamma: &Var, beta: &Var, eps: f32) -> (Var, BatchStats) {
         self.assert_same_tape(gamma);
         self.assert_same_tape(beta);
         let (a, gi, bi) = (self.id, gamma.id, beta.id);
@@ -896,91 +896,47 @@ impl Var {
         let x = self.value();
         let hw = h * w;
 
-        let mut mean = vec![0.0f32; c];
-        let mut var = vec![0.0f32; c];
-        for ci in 0..c {
-            let mut acc = 0.0f32;
-            for ni in 0..n {
-                let base = (ni * c + ci) * hw;
-                acc += x.data()[base..base + hw].iter().sum::<f32>();
-            }
-            mean[ci] = acc / m as f32;
-            let mut vacc = 0.0f32;
-            for ni in 0..n {
-                let base = (ni * c + ci) * hw;
-                for &xv in &x.data()[base..base + hw] {
-                    let d = xv - mean[ci];
-                    vacc += d * d;
-                }
-            }
-            var[ci] = vacc / m as f32;
-        }
-        let ivar: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
-
+        let stats = batch_stats(x.data(), n, c, hw);
+        let ivar: Vec<f32> = stats.var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
         // x̂ is kept only for the backward pass.
         let records = self.tape.records_grad();
-        let mut xhat = vec![0.0f32; if records { n * c * hw } else { 0 }];
-        let mut out = vec![0.0f32; n * c * hw];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * hw;
-                for o in 0..hw {
-                    let xh = (x.data()[base + o] - mean[ci]) * ivar[ci];
-                    if records {
-                        xhat[base + o] = xh;
-                    }
-                    out[base + o] = gv.data()[ci] * xh + bv.data()[ci];
-                }
-            }
-        }
+        let affine = (gv.data(), bv.data());
+        let (out, xhat) = normalise(x.data(), &stats.mean, &ivar, affine, hw, records);
         let value = sized(out, &s, "bn output shape");
         if !records {
-            return self.tape.constant(value);
+            return (self.tape.constant(value), stats);
         }
-        let xhat = sized(xhat, &s, "bn xhat shape");
         let shape = s.clone();
-        self.unary(
+        let y = self.unary(
             value,
             Box::new(move |g| {
                 // Standard BN backward per channel:
-                // dx = (gamma*ivar/m) * (m*g - sum(g) - xhat * sum(g*xhat))
-                let mut dgamma = vec![0.0f32; c];
-                let mut dbeta = vec![0.0f32; c];
-                let mut gsum = vec![0.0f32; c];
-                let mut gxsum = vec![0.0f32; c];
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let base = (ni * c + ci) * hw;
-                        for o in 0..hw {
-                            let gg = g.data()[base + o];
-                            let xh = xhat.data()[base + o];
-                            dbeta[ci] += gg;
-                            dgamma[ci] += gg * xh;
-                            gsum[ci] += gg;
-                            gxsum[ci] += gg * xh;
-                        }
-                    }
-                }
+                // dx = (gamma*ivar/m) * (m*g - sum(g) - xhat * sum(g*xhat)),
+                // and dbeta = sum(g), dgamma = sum(g*xhat).
+                let (gsum, gxsum) = grad_sums(g.data(), &xhat, n, c, hw);
+                let mf = m as f32;
                 let mut dx = vec![0.0f32; g.len()];
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let base = (ni * c + ci) * hw;
-                        let k = gv.data()[ci] * ivar[ci] / m as f32;
-                        for o in 0..hw {
-                            let gg = g.data()[base + o];
-                            let xh = xhat.data()[base + o];
-                            dx[base + o] =
-                                k * (m as f32 * gg - gsum[ci] - xh * gxsum[ci]);
-                        }
+                for (p, ((d, gp), xp)) in dx
+                    .chunks_mut(hw)
+                    .zip(g.data().chunks(hw))
+                    .zip(xhat.chunks(hw))
+                    .enumerate()
+                {
+                    let ci = p % c;
+                    let k = gv.data()[ci] * ivar[ci] / mf;
+                    let (gs, gx) = (gsum[ci], gxsum[ci]);
+                    for ((d, &gg), &xh) in d.iter_mut().zip(gp).zip(xp) {
+                        *d = k * (mf * gg - gs - xh * gx);
                     }
                 }
                 vec![
                     (a, sized(dx, &shape, "bn dx shape")),
-                    (gi, sized(dgamma, &[c], "bn dgamma shape")),
-                    (bi, sized(dbeta, &[c], "bn dbeta shape")),
+                    (gi, sized(gxsum, &[c], "bn dgamma shape")),
+                    (bi, sized(gsum, &[c], "bn dbeta shape")),
                 ]
             }),
-        )
+        );
+        (y, stats)
     }
 
     /// Inference-mode batch normalisation using fixed statistics.
@@ -1005,54 +961,34 @@ impl Var {
         let (a, gi, bi) = (self.id, gamma.id, beta.id);
         let s = self.shape();
         assert_eq!(s.len(), 4, "batch_norm2d_inference requires NCHW");
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
+        let (n, c, hw) = (s[0], s[1], s[2] * s[3]);
         assert_eq!(mean.shape(), &[c], "running mean must be [C]");
         assert_eq!(var.shape(), &[c], "running var must be [C]");
         let gv = gamma.value();
         let bv = beta.value();
         assert_eq!(gv.shape(), &[c], "gamma must be [C]");
         assert_eq!(bv.shape(), &[c], "beta must be [C]");
-        let hw = h * w;
         let x = self.value();
         let ivar: Vec<f32> = var.data().iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
         // x̂ is kept only for the backward pass.
         let records = self.tape.records_grad();
-        let mut out = vec![0.0f32; x.len()];
-        let mut xhat = vec![0.0f32; if records { x.len() } else { 0 }];
-        for ni in 0..n {
-            for (ci, &iv) in ivar.iter().enumerate() {
-                let base = (ni * c + ci) * hw;
-                for o in 0..hw {
-                    let xh = (x.data()[base + o] - mean.data()[ci]) * iv;
-                    if records {
-                        xhat[base + o] = xh;
-                    }
-                    out[base + o] = gv.data()[ci] * xh + bv.data()[ci];
-                }
-            }
-        }
+        let affine = (gv.data(), bv.data());
+        let (out, xhat) = normalise(x.data(), mean.data(), &ivar, affine, hw, records);
         let value = sized(out, &s, "bn-inf output shape");
         if !records {
             return self.tape.constant(value);
         }
-        let xhat = sized(xhat, &s, "bn-inf xhat shape");
         let shape = s.clone();
         self.unary(
             value,
             Box::new(move |g| {
-                let mut dgamma = vec![0.0f32; c];
-                let mut dbeta = vec![0.0f32; c];
+                let (dbeta, dgamma) = grad_sums(g.data(), &xhat, n, c, hw);
                 let mut dx = vec![0.0f32; g.len()];
-                for ni in 0..n {
-                    for ci in 0..c {
-                        let base = (ni * c + ci) * hw;
-                        let k = gv.data()[ci] * ivar[ci];
-                        for o in 0..hw {
-                            let gg = g.data()[base + o];
-                            dbeta[ci] += gg;
-                            dgamma[ci] += gg * xhat.data()[base + o];
-                            dx[base + o] = gg * k;
-                        }
+                for p in 0..n * c {
+                    let k = gv.data()[p % c] * ivar[p % c];
+                    let span = p * hw..(p + 1) * hw;
+                    for (d, &gg) in dx[span.clone()].iter_mut().zip(&g.data()[span]) {
+                        *d = gg * k;
                     }
                 }
                 vec![
@@ -1063,6 +999,132 @@ impl Var {
             }),
         )
     }
+}
+
+/// The per-channel batch statistics a training-mode [`Var::batch_norm2d`]
+/// normalised with.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchStats {
+    /// Mean over `(N, H, W)`, one per channel.
+    pub mean: Vec<f32>,
+    /// Biased variance over `(N, H, W)`, one per channel.
+    pub var: Vec<f32>,
+}
+
+/// Channels whose per-channel sums the batch-norm kernels run side by side.
+/// Each channel's sum is one dependent chain of float adds; several chains
+/// in flight hide the add latency without changing any chain's order.
+const BN_LANES: usize = 8;
+
+/// Start of each lane's plane in image `ni` of an `[N, C, hw]` buffer, for
+/// the [`BN_LANES`] channels from `c0`. Lanes past the last channel repeat
+/// it; [`store_lanes`] drops their sums.
+fn lane_planes(ni: usize, c0: usize, c: usize, hw: usize) -> [usize; BN_LANES] {
+    std::array::from_fn(|j| (ni * c + (c0 + j).min(c - 1)) * hw)
+}
+
+/// Store the sums of the lanes from channel `c0` that are real channels.
+fn store_lanes(out: &mut [f32], c0: usize, lanes: [f32; BN_LANES]) {
+    for (o, v) in out[c0..].iter_mut().zip(lanes) {
+        *o = v;
+    }
+}
+
+/// Per-channel mean and biased variance of an `[N, C, hw]` buffer, in the
+/// per-channel loop's order: the mean adds each plane's `iter().sum()` (a
+/// sequential sum from `-0.0`) to a `0.0` accumulator in image order, and
+/// the variance adds `(x - mean)²` from `0.0` over images and positions in
+/// order. [`BN_LANES`] channels run side by side.
+fn batch_stats(x: &[f32], n: usize, c: usize, hw: usize) -> BatchStats {
+    let m = (n * hw) as f32;
+    let (mut mean, mut var) = (vec![0.0f32; c], vec![0.0f32; c]);
+    for c0 in (0..c).step_by(BN_LANES) {
+        let mut acc = [0.0f32; BN_LANES];
+        for ni in 0..n {
+            let at = lane_planes(ni, c0, c, hw);
+            let mut part = [-0.0f32; BN_LANES];
+            for o in 0..hw {
+                for (p, &b) in part.iter_mut().zip(&at) {
+                    *p += x[b + o];
+                }
+            }
+            for (a, p) in acc.iter_mut().zip(part) {
+                *a += p;
+            }
+        }
+        let mu = acc.map(|a| a / m);
+        let mut vacc = [0.0f32; BN_LANES];
+        for ni in 0..n {
+            let at = lane_planes(ni, c0, c, hw);
+            for o in 0..hw {
+                for ((v, &b), &mu) in vacc.iter_mut().zip(&at).zip(&mu) {
+                    let d = x[b + o] - mu;
+                    *v += d * d;
+                }
+            }
+        }
+        store_lanes(&mut mean, c0, mu);
+        store_lanes(&mut var, c0, vacc.map(|v| v / m));
+    }
+    BatchStats { mean, var }
+}
+
+/// Per-channel `Σg` and `Σg·x̂` of an `[N, C, hw]` gradient and its x̂, each
+/// a sequential sum from `0.0` over images and positions in order,
+/// [`BN_LANES`] channels side by side.
+fn grad_sums(g: &[f32], xhat: &[f32], n: usize, c: usize, hw: usize) -> (Vec<f32>, Vec<f32>) {
+    let (mut gsum, mut gxsum) = (vec![0.0f32; c], vec![0.0f32; c]);
+    for c0 in (0..c).step_by(BN_LANES) {
+        let (mut gs, mut gx) = ([0.0f32; BN_LANES], [0.0f32; BN_LANES]);
+        for ni in 0..n {
+            let at = lane_planes(ni, c0, c, hw);
+            for o in 0..hw {
+                for ((s, t), &b) in gs.iter_mut().zip(&mut gx).zip(&at) {
+                    let gg = g[b + o];
+                    *s += gg;
+                    *t += gg * xhat[b + o];
+                }
+            }
+        }
+        store_lanes(&mut gsum, c0, gs);
+        store_lanes(&mut gxsum, c0, gx);
+    }
+    (gsum, gxsum)
+}
+
+/// The batch-norm elementwise pass over the `N·C` planes of an `[N, C, hw]`
+/// buffer: `x̂ = (x - mean)·ivar` and `gamma·x̂ + beta`. Returns the output
+/// and, if `keep_xhat`, x̂ (empty otherwise).
+fn normalise(
+    x: &[f32],
+    mean: &[f32],
+    ivar: &[f32],
+    affine: (&[f32], &[f32]),
+    hw: usize,
+    keep_xhat: bool,
+) -> (Vec<f32>, Vec<f32>) {
+    let (gamma, beta) = affine;
+    let c = mean.len();
+    let mut out = vec![0.0f32; x.len()];
+    let mut xhat = vec![0.0f32; if keep_xhat { x.len() } else { 0 }];
+    // Inference accepts empty planes (`hw == 0`), which hold nothing.
+    for p in 0..x.len().checked_div(hw).unwrap_or(0) {
+        let (ci, span) = (p % c, p * hw..(p + 1) * hw);
+        let (mu, iv, ga, be) = (mean[ci], ivar[ci], gamma[ci], beta[ci]);
+        let (xp, op) = (&x[span.clone()], &mut out[span.clone()]);
+        if keep_xhat {
+            for ((o, h), &xv) in op.iter_mut().zip(&mut xhat[span]).zip(xp) {
+                let xh = (xv - mu) * iv;
+                *h = xh;
+                *o = ga * xh + be;
+            }
+        } else {
+            for (o, &xv) in op.iter_mut().zip(xp) {
+                *o = ga * ((xv - mu) * iv) + be;
+            }
+        }
+    }
+    (out, xhat)
 }
 
 fn softmax_into(row: &[f32], out: &mut [f32]) {
@@ -1282,7 +1344,7 @@ mod tests {
         let x = leaf(&tape, vec![1.0, 2.0, 3.0, 4.0], &[4, 1, 1, 1]);
         let gamma = leaf(&tape, vec![1.0], &[1]);
         let beta = leaf(&tape, vec![0.0], &[1]);
-        let y = x.batch_norm2d(&gamma, &beta, 1e-5);
+        let (y, _) = x.batch_norm2d(&gamma, &beta, 1e-5);
         let v = y.value();
         let mean: f32 = v.data().iter().sum::<f32>() / 4.0;
         let var: f32 = v.data().iter().map(|&a| (a - mean) * (a - mean)).sum::<f32>() / 4.0;

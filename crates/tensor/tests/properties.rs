@@ -145,6 +145,154 @@ fn depthwise_per_image(x: &Tensor, w: &Tensor, g: &Tensor, geom: &Conv2dGeometry
     (to_bits(y), to_bits(dx), to_bits(dw))
 }
 
+/// Batch-norm value, input gradient, dγ, dβ, batch mean and batch variance,
+/// as bits (the statistics are empty in inference mode).
+type BnBits = [Vec<u32>; 6];
+
+/// The per-channel batch-norm loops. In train mode (`running` is `None`)
+/// each channel's mean adds its planes' `iter().sum()` in image order, and
+/// its variance and backward sums run over images and positions in order;
+/// in inference mode the given running statistics normalise.
+fn batch_norm_per_channel(
+    x: &Tensor,
+    affine: (&Tensor, &Tensor),
+    g: &Tensor,
+    running: Option<(&Tensor, &Tensor)>,
+) -> BnBits {
+    let eps = 1e-5f32;
+    let s = x.shape();
+    let (n, c, hw) = (s[0], s[1], s[2] * s[3]);
+    let m = n * hw;
+    let (xd, gd) = (x.data(), g.data());
+    let (gamma, beta) = (affine.0.data(), affine.1.data());
+    let (mean, var) = match running {
+        Some((rm, rv)) => (rm.data().to_vec(), rv.data().to_vec()),
+        None => {
+            let mut mean = vec![0.0f32; c];
+            let mut var = vec![0.0f32; c];
+            for ci in 0..c {
+                let mut acc = 0.0f32;
+                for ni in 0..n {
+                    let base = (ni * c + ci) * hw;
+                    acc += xd[base..base + hw].iter().sum::<f32>();
+                }
+                mean[ci] = acc / m as f32;
+                let mut vacc = 0.0f32;
+                for ni in 0..n {
+                    let base = (ni * c + ci) * hw;
+                    for &xv in &xd[base..base + hw] {
+                        let d = xv - mean[ci];
+                        vacc += d * d;
+                    }
+                }
+                var[ci] = vacc / m as f32;
+            }
+            (mean, var)
+        }
+    };
+    let ivar: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
+    let mut y = vec![0.0f32; xd.len()];
+    let mut xhat = vec![0.0f32; xd.len()];
+    for ni in 0..n {
+        for ci in 0..c {
+            let base = (ni * c + ci) * hw;
+            for o in 0..hw {
+                let xh = (xd[base + o] - mean[ci]) * ivar[ci];
+                xhat[base + o] = xh;
+                y[base + o] = gamma[ci] * xh + beta[ci];
+            }
+        }
+    }
+    let mut dgamma = vec![0.0f32; c];
+    let mut dbeta = vec![0.0f32; c];
+    for ni in 0..n {
+        for ci in 0..c {
+            let base = (ni * c + ci) * hw;
+            for o in 0..hw {
+                dbeta[ci] += gd[base + o];
+                dgamma[ci] += gd[base + o] * xhat[base + o];
+            }
+        }
+    }
+    let mut dx = vec![0.0f32; xd.len()];
+    for ni in 0..n {
+        for ci in 0..c {
+            let base = (ni * c + ci) * hw;
+            for o in 0..hw {
+                let (gg, xh) = (gd[base + o], xhat[base + o]);
+                dx[base + o] = if running.is_some() {
+                    gg * (gamma[ci] * ivar[ci])
+                } else {
+                    let k = gamma[ci] * ivar[ci] / m as f32;
+                    k * (m as f32 * gg - dbeta[ci] - xh * dgamma[ci])
+                };
+            }
+        }
+    }
+    let stats = if running.is_some() {
+        (Vec::new(), Vec::new())
+    } else {
+        (mean, var)
+    };
+    let to_bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect();
+    [
+        to_bits(&y),
+        to_bits(&dx),
+        to_bits(&dgamma),
+        to_bits(&dbeta),
+        to_bits(&stats.0),
+        to_bits(&stats.1),
+    ]
+}
+
+/// Run train-mode (`running` is `None`) or inference-mode batch norm on a
+/// recording tape, seeding backward with `g`, and on a `Tape::no_grad()`
+/// tape. Returns the recording run's bits and the no-grad run's value and
+/// statistics.
+fn run_batch_norm(
+    x: &Tensor,
+    affine: (&Tensor, &Tensor),
+    g: &Tensor,
+    running: Option<(&Tensor, &Tensor)>,
+) -> (BnBits, [Vec<u32>; 3]) {
+    let to_bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let forward = |xv: &Var, gv: &Var, bv: &Var| match running {
+        Some((rm, rv)) => {
+            let y = xv.batch_norm2d_inference(gv, bv, rm, rv, 1e-5);
+            (y, Vec::new(), Vec::new())
+        }
+        None => {
+            let (y, stats) = xv.batch_norm2d(gv, bv, 1e-5);
+            (y, to_bits(&stats.mean), to_bits(&stats.var))
+        }
+    };
+    let tape = Tape::new();
+    let leaf = |t: &Tensor| tape.leaf(t.clone());
+    let (xv, gv, bv) = (leaf(x), leaf(affine.0), leaf(affine.1));
+    let (y, mean, var) = forward(&xv, &gv, &bv);
+    y.backward_with(g.clone());
+    let grad = |v: &Var| bits(&v.grad().unwrap());
+    let recorded = [bits(&y.value()), grad(&xv), grad(&gv), grad(&bv), mean, var];
+    let side = Tape::no_grad();
+    let constant = |t: &Tensor| side.constant(t.clone());
+    let (y, mean, var) = forward(&constant(x), &constant(affine.0), &constant(affine.1));
+    (recorded, [bits(&y.value()), mean, var])
+}
+
+/// A batch-norm input: `(n, c, (h, w), data seed, poison mask)`, with
+/// channel counts on and off the side-by-side width, one-pixel planes and
+/// single images among them. Poison bit 0 puts a NaN in the input, bit 1 a
+/// `+∞` and a `-∞`, bit 2 makes one whole plane `-0.0`.
+fn bn_case() -> impl Strategy<Value = (usize, usize, (usize, usize), u64, u8)> {
+    (
+        prop::sample::select(vec![1usize, 2, 4, 20]),
+        prop::sample::select(vec![1usize, 7, 8, 9, 17, 160]),
+        prop::sample::select(vec![(1usize, 1usize), (1, 3), (2, 2), (3, 3), (6, 6)]),
+        any::<u64>(),
+        0u8..8,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -285,6 +433,83 @@ proptest! {
         for threads in [1usize, 2, 4] {
             let got = run_op(threads, &x, &w, &g, |x, w| x.depthwise_conv2d(w, geom));
             prop_assert_eq!(&got, &reference, "{:?} n={} threads={}", geom, n, threads);
+        }
+    }
+
+    // Channels summed side by side and planes walked by slices must keep
+    // every per-channel loop's bits, in train and inference mode, on a
+    // recording and on a no-grad tape, with NaN, ±∞ and -0.0 inputs.
+    #[test]
+    fn batch_norm_is_bit_identical_to_per_channel_loops(case in bn_case()) {
+        let (n, c, (h, w), seed, poison) = case;
+        let shape = [n, c, h, w];
+        let mut x = Tensor::randn(&shape, 2.0, seed);
+        let len = x.len();
+        let at = |k: u64| (seed.rotate_left(k as u32 * 16) % len as u64) as usize;
+        if poison & 1 != 0 {
+            x.data_mut()[at(1)] = f32::NAN;
+        }
+        if poison & 2 != 0 {
+            x.data_mut()[at(2)] = f32::INFINITY;
+            x.data_mut()[at(3)] = f32::NEG_INFINITY;
+        }
+        if poison & 4 != 0 {
+            let plane = at(0) / (h * w);
+            x.data_mut()[plane * h * w..(plane + 1) * h * w].fill(-0.0);
+        }
+        let gamma = Tensor::randn(&[c], 1.0, seed ^ 1);
+        let beta = Tensor::randn(&[c], 1.0, seed ^ 2);
+        let g = Tensor::randn(&shape, 1.0, seed ^ 3);
+        let rm = Tensor::randn(&[c], 1.0, seed ^ 4);
+        let rv = Tensor::randn(&[c], 1.0, seed ^ 5).map(f32::abs);
+        for running in [None, Some((&rm, &rv))] {
+            let reference = batch_norm_per_channel(&x, (&gamma, &beta), &g, running);
+            let (recorded, forward_only) = run_batch_norm(&x, (&gamma, &beta), &g, running);
+            let mode = if running.is_some() { "inference" } else { "train" };
+            prop_assert_eq!(&recorded, &reference, "{} {:?} poison={}", mode, shape, poison);
+            let [value, _, _, _, mean, var] = &reference;
+            prop_assert_eq!(&forward_only, &[value.clone(), mean.clone(), var.clone()]);
+        }
+    }
+}
+
+/// The supernet's depthwise shapes: 6×6, 3×3 and 2×2 maps, kernels 3 and 5
+/// with same padding, strides 1 and 2, batches of 1, 4 and 20, and widths
+/// of 24 to 160 channels plus one off the vector width. Channel 0 has a NaN
+/// and the last channel an ∞ weight in a corner tap, which reads the
+/// padding at the map's corners: a kernel that multiplied the padding
+/// would turn those outputs and gradients into NaN.
+#[test]
+fn depthwise_is_bit_identical_to_per_image_at_supernet_shapes() {
+    let widths = [24usize, 40, 80, 160, 13];
+    let mut case = 0u64;
+    for hw in [6usize, 3, 2] {
+        for kernel in [3usize, 5] {
+            for stride in [1usize, 2] {
+                for n in [1usize, 4, 20] {
+                    let c = widths[case as usize % widths.len()];
+                    case += 1;
+                    let geom = Conv2dGeometry {
+                        in_channels: c,
+                        out_channels: c,
+                        kernel,
+                        stride,
+                        padding: kernel / 2,
+                        in_h: hw,
+                        in_w: hw,
+                    };
+                    let x = Tensor::randn(&[n, c, hw, hw], 1.0, case);
+                    let mut w = Tensor::randn(&[c, kernel, kernel], 1.0, case ^ 1);
+                    w.data_mut()[0] = f32::NAN;
+                    w.data_mut()[c * kernel * kernel - 1] = f32::INFINITY;
+                    let g = Tensor::randn(&[n, c, geom.out_h(), geom.out_w()], 1.0, case ^ 2);
+                    let reference = depthwise_per_image(&x, &w, &g, &geom);
+                    for threads in [1usize, 2, 4] {
+                        let got = run_op(threads, &x, &w, &g, |x, w| x.depthwise_conv2d(w, geom));
+                        assert_eq!(got, reference, "{geom:?} n={n} threads={threads}");
+                    }
+                }
+            }
         }
     }
 }

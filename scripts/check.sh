@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local verification gate: build, test, static lint ratchet, and
-# clippy-clean first-party crates (every `crates/*` member plus the root
-# `a3cs` package). Run from anywhere inside the repo.
+# clippy-clean first-party crates (every `crates/*` member, the root
+# `a3cs` package and perfbench). Run from anywhere inside the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,5 +42,8 @@ echo "==> clippy (every first-party crate, -D warnings)"
 cargo clippy -q -p a3cs-check -p a3cs-tensor -p a3cs-nn -p a3cs-nas -p a3cs-core -p a3cs-drl \
     -p a3cs-fleet -p a3cs-envs -p a3cs-bench -p a3cs-accel -p a3cs-obs -p a3cs \
     --all-targets --no-deps -- -D warnings
+
+echo "==> clippy (perfbench, its own manifest, -D warnings)"
+cargo clippy -q --offline --manifest-path perfbench/Cargo.toml --all-targets --no-deps -- -D warnings
 
 echo "all checks passed"
